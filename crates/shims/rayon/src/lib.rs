@@ -23,6 +23,24 @@ pub mod prelude {
 /// Live workers across every concurrently-executing `par_*` call.
 static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
+/// Workers claimed from [`ACTIVE_WORKERS`], returned on drop — also when
+/// a panicking worker unwinds out of `thread::scope`, so a caught panic
+/// does not shrink every later `par_*` call's budget.
+struct WorkerBudget(usize);
+
+impl WorkerBudget {
+    fn claim(workers: usize) -> Self {
+        ACTIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
+        WorkerBudget(workers)
+    }
+}
+
+impl Drop for WorkerBudget {
+    fn drop(&mut self) {
+        ACTIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
 /// Number of worker threads the host offers.
 pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
@@ -63,7 +81,7 @@ where
         let mut state = init();
         return items.into_iter().map(|item| f(&mut state, item)).collect();
     }
-    ACTIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
+    let _budget = WorkerBudget::claim(workers);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -87,7 +105,6 @@ where
             });
         }
     });
-    ACTIVE_WORKERS.fetch_sub(workers, Ordering::Relaxed);
     results
         .into_iter()
         .map(|m| {

@@ -22,6 +22,11 @@
 //! count is identical under every [`Orientation`]. The level/cover
 //! construction is host work (like Fox's workload binning); the timed
 //! kernel is one coarse thread per cover edge doing a two-pointer merge.
+//! The host kernel ([`CoverEdge::count_cpu`]) shares the prepass and the
+//! dedup rule but scans by mark instead of merging per edge — the one
+//! host kernel whose intersection differs from its sim twin's.
+
+use std::ops::Range;
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, SimError};
 use graph_data::{DagGraph, Orientation};
@@ -124,32 +129,39 @@ pub fn cover_plan(num_vertices: u32, src: &[u32], dst: &[u32]) -> CoverPlan {
     }
 }
 
-/// Count the triangles a single cover edge `(u, v)` owns: common
-/// neighbours `w` in the sorted undirected lists, filtered by the
-/// lexicographic dedup rule.
-fn count_cover_edge(plan: &CoverPlan, u: u32, v: u32) -> u64 {
-    let a = &plan.und_targets
-        [plan.und_offsets[u as usize] as usize..plan.und_offsets[u as usize + 1] as usize];
-    let b = &plan.und_targets
-        [plan.und_offsets[v as usize] as usize..plan.und_offsets[v as usize + 1] as usize];
-    let lu = plan.levels[u as usize];
-    let (mut i, mut j) = (0, 0);
-    let mut count = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                let w = a[i];
-                if plan.levels[w as usize] != lu || w > v {
+impl CoverPlan {
+    /// `v`'s sorted undirected neighbour list.
+    fn und_neighbors(&self, v: u32) -> &[u32] {
+        &self.und_targets
+            [self.und_offsets[v as usize] as usize..self.und_offsets[v as usize + 1] as usize]
+    }
+
+    /// Count the triangles owned by the cover edges `run`, which all
+    /// share the source `u`: mark `N(u)` in `bits` once, test each `N(v)`
+    /// against it under the lexicographic dedup rule, then clear the
+    /// marks so the bitmap is empty again for the worker's next run.
+    fn count_run(&self, bits: &mut [u64], run: Range<usize>) -> u64 {
+        let u = self.cover_src[run.start];
+        let nu = self.und_neighbors(u);
+        for &x in nu {
+            bits[x as usize / 64] |= 1 << (x % 64);
+        }
+        let lu = self.levels[u as usize];
+        let mut count = 0u64;
+        for &v in &self.cover_dst[run] {
+            for &w in self.und_neighbors(v) {
+                if bits[w as usize / 64] >> (w % 64) & 1 == 1
+                    && (self.levels[w as usize] != lu || w > v)
+                {
                     count += 1;
                 }
-                i += 1;
-                j += 1;
             }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
         }
+        for &x in nu {
+            bits[x as usize / 64] &= !(1 << (x % 64));
+        }
+        count
     }
-    count
 }
 
 impl TcAlgorithm for CoverEdge {
@@ -285,20 +297,28 @@ impl TcAlgorithm for CoverEdge {
         Ok(TcOutput { triangles, stats })
     }
 
-    /// Host kernel: the same BFS/cover prepass, then one rayon task per
-    /// cover edge merging the undirected lists.
+    /// Host kernel: the same BFS/cover prepass and dedup rule, but where
+    /// the device merges per cover edge, the host scans by mark. Cover
+    /// edges sharing a source are contiguous (a DAG's edges come in CSR
+    /// order with `u < v`, and normalization keeps `u` as the source), so
+    /// one rayon task takes each run of them and marks `N(u)` once in a
+    /// per-worker bitmap of `nv` bits. A run boundary is wherever the
+    /// source changes, so the count is exact for any edge order.
     fn count_cpu(&self, dag: &DagGraph) -> u64 {
         let (src, dst) = dag.edge_arrays();
         let plan = cover_plan(dag.num_vertices(), &src, &dst);
-        (0..plan.cover_src.len() as u32)
-            .into_par_iter()
-            .map(|e| {
-                count_cover_edge(
-                    &plan,
-                    plan.cover_src[e as usize],
-                    plan.cover_dst[e as usize],
-                )
+        let mut lo = 0;
+        let runs: Vec<Range<usize>> = plan
+            .cover_src
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                lo += run.len();
+                lo - run.len()..lo
             })
+            .collect();
+        let words = (dag.num_vertices() as usize).div_ceil(64).max(1);
+        runs.into_par_iter()
+            .map_init(|| vec![0u64; words], |bits, run| plan.count_run(bits, run))
             .sum()
     }
 }

@@ -166,7 +166,8 @@ impl TcAlgorithm for HIndex {
     }
 
     /// Host kernel: 32-bucket chained hash per edge — the same bucket
-    /// count as the warp-mode shared-memory table.
+    /// count as the warp-mode shared-memory table — with the shorter
+    /// list building it, and `u`'s table reused across its edges.
     fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
         crate::cpu::par_edge_hash(dag, BUCKETS as usize)
     }

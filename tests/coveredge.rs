@@ -1,8 +1,10 @@
 //! Test wall for the cover-edge algorithm (Bader et al., arXiv
 //! 2403.02997): property-based differential invariants against the
-//! node-iterator oracle on every generator family, the metamorphic
-//! conformance checks, and a golden counters snapshot of its sim kernel
-//! on the fixed R-MAT graph (the same graph GroupTC's snapshot pins).
+//! node-iterator oracle on every generator family, hand-built edge
+//! cases for the host kernel (a clique, a star, a path) under every
+//! orientation, the metamorphic conformance checks, and a golden
+//! counters snapshot of its sim kernel on the fixed R-MAT graph (the
+//! same graph GroupTC's snapshot pins).
 
 use proptest::prelude::*;
 
@@ -11,11 +13,11 @@ use tc_compare::algos::conformance::{
 };
 use tc_compare::algos::coveredge::{cover_plan, CoverEdge};
 use tc_compare::algos::{DeviceGraph, TcAlgorithm};
-use tc_compare::graph::{clean_edges, cpu_ref, gen, orient, Orientation};
+use tc_compare::graph::{clean_edges, cpu_ref, gen, orient, EdgeList, Orientation};
 use tc_compare::sim::{Device, DeviceMem, ProfileCounters};
 
 /// CPU cover-edge count == node-iterator oracle on one raw edge list.
-fn assert_matches_oracle(edges: &tc_compare::graph::EdgeList, label: &str) {
+fn assert_matches_oracle(edges: &EdgeList, label: &str) {
     let (g, _) = clean_edges(edges);
     let expected = cpu_ref::node_iterator(&g);
     let dag = orient(&g, Orientation::ById);
@@ -96,6 +98,69 @@ fn metamorphic_conformance_cases_pass() {
         check_orientation_invariance(&CoverEdge, case);
         check_relabel_invariance(&CoverEdge, case, 0xBADE ^ case.name.len() as u64);
     }
+}
+
+/// The CPU count of `edges` under every orientation. Cover edges come
+/// from BFS levels of the symmetrized graph, so relabeling may move the
+/// roots and the cover set, but never the count.
+fn cpu_count_under_every_orientation(edges: &EdgeList, label: &str) -> u64 {
+    let (g, _) = clean_edges(edges);
+    let expected = cpu_ref::node_iterator(&g);
+    for o in [
+        Orientation::ById,
+        Orientation::DegreeAsc,
+        Orientation::DegreeDesc,
+        Orientation::KCore,
+        Orientation::Random(3),
+        Orientation::Random(0xC0FFEE),
+    ] {
+        assert_eq!(
+            CoverEdge.count_cpu(&orient(&g, o)),
+            expected,
+            "{label} {o:?}"
+        );
+    }
+    expected
+}
+
+#[test]
+fn cpu_count_on_a_clique_is_n_choose_3() {
+    let clique = |lo: u32, hi: u32| (lo..hi).flat_map(move |a| (a + 1..hi).map(move |b| (a, b)));
+    assert_eq!(
+        cpu_count_under_every_orientation(&EdgeList::new(clique(0, 9).collect()), "K9"),
+        84
+    );
+    // A hub reaches the K6 on 7..12 only through spokes 1..6, so under
+    // ById every clique vertex sits on level 2: each triangle has three
+    // cover edges and only the `w > v` rule keeps it from counting thrice.
+    let mut edges: Vec<(u32, u32)> = (1..7).flat_map(|i| [(0, i), (i, i + 6)]).collect();
+    edges.extend(clique(7, 13));
+    let edges = EdgeList::new(edges);
+    let (g, _) = clean_edges(&edges);
+    let dag = orient(&g, Orientation::ById);
+    let (src, dst) = dag.edge_arrays();
+    let plan = cover_plan(dag.num_vertices(), &src, &dst);
+    assert!((7..13).all(|v| plan.levels[v] == 2));
+    assert_eq!(plan.cover_src.len(), 15);
+    assert_eq!(cpu_count_under_every_orientation(&edges, "spoked K6"), 20);
+}
+
+#[test]
+fn cpu_count_on_a_star_plus_triangle_and_on_a_path() {
+    let mut star: Vec<(u32, u32)> = (1..8).map(|i| (0, i)).collect();
+    star.push((1, 2));
+    assert_eq!(
+        cpu_count_under_every_orientation(&EdgeList::new(star), "star+triangle"),
+        1
+    );
+    let path = EdgeList::new((0..6).map(|i| (i, i + 1)).collect());
+    let (g, _) = clean_edges(&path);
+    let dag = orient(&g, Orientation::ById);
+    let (src, dst) = dag.edge_arrays();
+    assert!(cover_plan(dag.num_vertices(), &src, &dst)
+        .cover_src
+        .is_empty());
+    assert_eq!(cpu_count_under_every_orientation(&path, "path"), 0);
 }
 
 fn run_coveredge(dev: &Device) -> tc_compare::algos::TcOutput {
