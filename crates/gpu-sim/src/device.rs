@@ -22,27 +22,24 @@ pub struct DeviceConfig {
     pub l1_sectors_per_sm: u32,
     /// Global memory capacity, in 4-byte words.
     pub global_mem_words: u64,
-    /// Force the data-race detector on for *every* launch on this device,
-    /// regardless of each launch's [`KernelConfig::race_detect`] flag.
-    /// Test harnesses use this to run algorithms that build their own
-    /// launch configurations internally under the detector.
+    /// Run every launch on this device under the phase-based data-race
+    /// detector (see `gpu_sim::race`). This flag is the detector's only
+    /// switch: algorithms build their launch configurations internally,
+    /// so harnesses opt a whole device in via
+    /// [`Device::with_race_detection`]. Off by default, so benchmark
+    /// launches pay one predictable branch per access.
     pub force_race_detection: bool,
-    /// Force SimSan (see `gpu_sim::sanitize`) on for every launch on
-    /// this device, regardless of each launch's
-    /// [`KernelConfig::sanitize`] flag — the sanitizer counterpart of
-    /// `force_race_detection`.
+    /// Run every launch on this device under SimSan (see
+    /// `gpu_sim::sanitize`): shadow tracking for uninit-read,
+    /// use-after-free and redzone accesses. The sanitizer's only switch,
+    /// set by [`Device::with_sanitizer`]; off by default.
     pub force_sanitizer: bool,
-    /// Force the retained two-pass trace engine (see
-    /// [`KernelConfig::retained_trace`]) for every launch on this
-    /// device. Differential harnesses use this to run algorithms that
-    /// build their own launch configurations internally under the
-    /// reference engine and compare against the default fused one.
-    pub force_retained_trace: bool,
-    /// Force SimLint (see `gpu_sim::lint`) on for every launch on this
-    /// device, regardless of each launch's [`KernelConfig::lint`] flag —
-    /// the lint counterpart of `force_race_detection`. Conformance
-    /// harnesses use this to run algorithms that build their own launch
-    /// configurations internally under the diagnostics engine.
+    /// Run every launch on this device under SimLint (see
+    /// `gpu_sim::lint`): the barrier-divergence verifier plus the
+    /// performance lint pass over the replay stream. The lints' only
+    /// switch, set by [`Device::with_lints`]; off by default. Lint
+    /// observers only read values the replay already computed, so
+    /// counters and cycles are byte-identical with lints on or off.
     pub force_lints: bool,
     pub cost: CostModel,
 }
@@ -64,7 +61,6 @@ impl DeviceConfig {
             global_mem_words: 16 * 1024 * 1024, // 64 MiB => 16 GB / 256
             force_race_detection: false,
             force_sanitizer: false,
-            force_retained_trace: false,
             force_lints: false,
             cost: CostModel::v100(),
         }
@@ -83,7 +79,6 @@ impl DeviceConfig {
             global_mem_words: 24 * 1024 * 1024,
             force_race_detection: false,
             force_sanitizer: false,
-            force_retained_trace: false,
             force_lints: false,
             cost: CostModel::rtx4090(),
         }
@@ -130,13 +125,6 @@ impl Device {
     /// [`DeviceConfig::force_sanitizer`]).
     pub fn with_sanitizer(mut self) -> Self {
         self.config.force_sanitizer = true;
-        self
-    }
-
-    /// Force the retained two-pass trace engine on for every launch on
-    /// this device (see [`DeviceConfig::force_retained_trace`]).
-    pub fn with_retained_trace(mut self) -> Self {
-        self.config.force_retained_trace = true;
         self
     }
 

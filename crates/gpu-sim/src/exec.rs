@@ -8,44 +8,15 @@ use crate::trace::{LaneTrace, Op, PackedOp, TAG_COMPUTE, TAG_CONVERGE, TAG_SATOM
 use crate::{CostModel, SimError, SHARED_BANKS, WARP_SIZE};
 
 /// Launch geometry: `grid_dim` blocks of `block_dim` threads, each block
-/// carrying `shared_words` words of shared memory — plus the per-launch
-/// data-race-detection and sanitizer toggles.
+/// carrying `shared_words` words of shared memory. The analyses (race
+/// detector, SimSan, SimLint) are switched on per device, not per launch:
+/// see [`Device::with_race_detection`], [`Device::with_sanitizer`] and
+/// [`Device::with_lints`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     pub grid_dim: u32,
     pub block_dim: u32,
     pub shared_words: u32,
-    /// Run this launch under the phase-based data-race detector (see
-    /// `gpu_sim::race`). Off by default so benchmark launches pay ~zero
-    /// cost (a single predictable branch per access); the detector is
-    /// also forced on for every launch on a
-    /// [`Device::with_race_detection`] device.
-    pub race_detect: bool,
-    /// Run this launch under SimSan (see `gpu_sim::sanitize`): shadow
-    /// tracking for uninit-read, use-after-free and redzone accesses.
-    /// Off by default like `race_detect`; also forced on for every
-    /// launch on a [`Device::with_sanitizer`] device.
-    pub sanitize: bool,
-    /// Replay with the retained two-pass engine: record every lane of
-    /// the block into block-lifetime traces, then replay them all at the
-    /// barrier — the pre-fusion execution order, kept as a debug /
-    /// differential reference. Off by default: the fused engine replays
-    /// each warp the moment its 32 lanes finish a phase, so trace words
-    /// are consumed while still cache-hot. Both engines are
-    /// bit-identical by construction (same lane order, same replay
-    /// rules); `tests/fused_vs_twopass.rs` locks that equivalence. Also
-    /// forced on for every launch on a [`Device::with_retained_trace`]
-    /// device.
-    pub retained_trace: bool,
-    /// Run this launch under SimLint (see `gpu_sim::lint`): the
-    /// barrier-divergence verifier plus the performance lint pass that
-    /// watches the replay stream for uncoalesced access, bank-conflict,
-    /// atomic-contention and low-occupancy hotspots. Off by default like
-    /// the other analyses; also forced on for every launch on a
-    /// [`Device::with_lints`] device. Zero-perturbation: lint observers
-    /// only read values the replay already computed, so counters and
-    /// cycles are byte-identical with lints on or off.
-    pub lint: bool,
 }
 
 impl KernelConfig {
@@ -54,40 +25,11 @@ impl KernelConfig {
             grid_dim,
             block_dim,
             shared_words: 0,
-            race_detect: false,
-            sanitize: false,
-            retained_trace: false,
-            lint: false,
         }
     }
 
     pub fn with_shared_words(mut self, words: u32) -> Self {
         self.shared_words = words;
-        self
-    }
-
-    /// Toggle the data-race detector for this launch.
-    pub fn with_race_detection(mut self, on: bool) -> Self {
-        self.race_detect = on;
-        self
-    }
-
-    /// Toggle SimSan for this launch.
-    pub fn with_sanitizer(mut self, on: bool) -> Self {
-        self.sanitize = on;
-        self
-    }
-
-    /// Toggle the retained two-pass trace engine for this launch (see
-    /// [`KernelConfig::retained_trace`]).
-    pub fn with_retained_trace(mut self, on: bool) -> Self {
-        self.retained_trace = on;
-        self
-    }
-
-    /// Toggle SimLint for this launch.
-    pub fn with_lints(mut self, on: bool) -> Self {
-        self.lint = on;
         self
     }
 }
@@ -109,11 +51,9 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// capacity, and the shared/L1/cursor buffers are `clear()`+`resize()`d
 /// in place.
 ///
-/// Under the default fused engine `traces` holds one warp's worth of
-/// lane buffers (≤ 32), recycled across every warp of every phase —
-/// that tiny working set is what keeps trace words L1-resident between
-/// record and replay. The retained engine sizes it to the full
-/// `block_dim` instead.
+/// `traces` holds one warp's worth of lane buffers (≤ 32), recycled
+/// across every warp of every phase — that tiny working set is what
+/// keeps trace words L1-resident between record and replay.
 #[derive(Default)]
 pub struct BlockScratch {
     shared: Vec<u32>,
@@ -126,11 +66,12 @@ pub struct BlockScratch {
 }
 
 impl BlockScratch {
-    fn reset(&mut self, shared_words: usize, trace_lanes: usize, l1_len: usize, block_dim: usize) {
+    fn reset(&mut self, shared_words: usize, l1_len: usize, block_dim: usize) {
         self.shared.clear();
         self.shared.resize(shared_words, 0);
         // Keep the per-lane op buffers (the hot allocation) alive across
         // blocks; only their lengths reset.
+        let trace_lanes = block_dim.min(WARP_SIZE);
         self.traces.truncate(trace_lanes);
         for t in &mut self.traces {
             t.clear();
@@ -144,48 +85,16 @@ impl BlockScratch {
 }
 
 /// The consumer side of the record/replay split: lanes *generate*
-/// `PackedOp` words into buffers the sink hands out, and the sink
-/// decides when those buffers are *consumed* (replayed into cycles and
-/// counters). The two implementations differ only in consumption
-/// timing, never in replay rules, so their results are bit-identical:
-///
-/// * [`FusedSink`] (default) replays each warp's slice of the phase the
-///   moment its ≤ 32 lanes finish recording it, then immediately
-///   recycles the same 32 buffers for the next warp. Trace words are
-///   written and read back while still cache-hot, and no block-lifetime
-///   trace ever exists.
-/// * [`RetainedSink`] keeps one buffer per lane of the block and
-///   replays them all at the phase barrier — the original two-pass
-///   engine, preserved behind [`KernelConfig::retained_trace`] as the
-///   differential reference.
+/// `PackedOp` words into the sink's ≤ 32 warp buffers, and the sink
+/// *consumes* them (replays them into cycles and counters) the moment
+/// the warp's lanes finish recording the phase, then recycles the same
+/// buffers for the next warp. Trace words are written and read back
+/// while still cache-hot, and no block-lifetime trace ever exists.
 ///
 /// The race detector and SimSan are *not* sink clients: they hook the
 /// record side (checks run at access time inside [`LaneCtx`]) and are
-/// phase-scoped via their own `end_phase`, so they see the exact same
-/// access interleaving under either sink.
-pub(crate) trait PhaseSink {
-    /// The buffer lane `tid` records the current phase into. The fused
-    /// sink maps `tid` to its warp-local slot; the retained sink to the
-    /// lane's block-lifetime trace.
-    fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace;
-
-    /// All lanes of one warp have finished recording the current phase
-    /// (called in warp order). The fused sink replays and recycles its
-    /// warp buffers here; the retained sink does nothing.
-    fn warp_complete(&mut self);
-
-    /// Block-wide barrier: the phase is over. Folds the phase's cycle
-    /// cost (max over the block's warps — they run concurrently, the
-    /// barrier waits for the slowest) into the block total. The
-    /// retained sink replays every lane trace here first.
-    fn end_phase(&mut self);
-
-    /// The block is done: yield its accumulated (cycles, counters).
-    fn finish(&mut self) -> (u64, ProfileCounters);
-}
-
-/// Streaming sink: replay each warp phase as soon as it is recorded.
-pub(crate) struct FusedSink<'a> {
+/// phase-scoped via their own `end_phase`.
+struct FusedSink<'a> {
     /// One buffer per warp lane (≤ 32), shared by every warp in turn.
     traces: &'a mut [LaneTrace],
     replay: &'a mut ReplayScratch,
@@ -194,10 +103,8 @@ pub(crate) struct FusedSink<'a> {
     cycles: u64,
     /// Max replay cycles over the warps seen so far this phase.
     phase_cycles: u64,
-    /// SimLint performance observer (`Some` when the launch enabled
-    /// lints): fed per replay slot, phase-advanced at the barrier. Both
-    /// sinks replay a phase's warps in the same order and advance the
-    /// observer at the same point, so the reports are engine-identical.
+    /// SimLint performance observer (`Some` when lints are on): fed per
+    /// replay slot, phase-advanced at the barrier.
     lint: Option<&'a mut LintObserver>,
 }
 
@@ -218,14 +125,16 @@ impl<'a> FusedSink<'a> {
             lint,
         }
     }
-}
 
-impl PhaseSink for FusedSink<'_> {
+    /// The buffer lane `tid` records the current phase into: its
+    /// warp-local slot.
     #[inline]
     fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace {
         &mut self.traces[tid as usize % WARP_SIZE]
     }
 
+    /// All lanes of one warp have finished recording the current phase
+    /// (called in warp order): replay the warp and recycle its buffers.
     fn warp_complete(&mut self) {
         let (cycles, counters) = replay_warp(
             self.traces,
@@ -240,6 +149,9 @@ impl PhaseSink for FusedSink<'_> {
         }
     }
 
+    /// Block-wide barrier: the phase is over. Folds the phase's cycle
+    /// cost (max over the block's warps — they run concurrently, the
+    /// barrier waits for the slowest) into the block total.
     fn end_phase(&mut self) {
         self.cycles += self.phase_cycles;
         self.phase_cycles = 0;
@@ -250,74 +162,6 @@ impl PhaseSink for FusedSink<'_> {
             );
         }
     }
-
-    fn finish(&mut self) -> (u64, ProfileCounters) {
-        (self.cycles, self.counters)
-    }
-}
-
-/// Two-pass sink: record the whole block, replay at the barrier.
-pub(crate) struct RetainedSink<'a> {
-    /// One block-lifetime buffer per lane of the block.
-    traces: &'a mut [LaneTrace],
-    replay: &'a mut ReplayScratch,
-    cost: CostModel,
-    counters: ProfileCounters,
-    cycles: u64,
-    /// SimLint performance observer, fed exactly like [`FusedSink`]'s:
-    /// same warp order, same phase-advance point, identical reports.
-    lint: Option<&'a mut LintObserver>,
-}
-
-impl<'a> RetainedSink<'a> {
-    fn new(
-        traces: &'a mut [LaneTrace],
-        replay: &'a mut ReplayScratch,
-        cost: CostModel,
-        lint: Option<&'a mut LintObserver>,
-    ) -> Self {
-        RetainedSink {
-            traces,
-            replay,
-            cost,
-            counters: ProfileCounters::default(),
-            cycles: 0,
-            lint,
-        }
-    }
-}
-
-impl PhaseSink for RetainedSink<'_> {
-    #[inline]
-    fn lane_trace(&mut self, tid: u32) -> &mut LaneTrace {
-        &mut self.traces[tid as usize]
-    }
-
-    fn warp_complete(&mut self) {}
-
-    fn end_phase(&mut self) {
-        let mut phase_cycles = 0u64;
-        for warp in self.traces.chunks(WARP_SIZE) {
-            let (cycles, counters) =
-                replay_warp(warp, &self.cost, self.replay, self.lint.as_deref_mut());
-            phase_cycles = phase_cycles.max(cycles);
-            self.counters += counters;
-        }
-        self.cycles += phase_cycles;
-        for t in self.traces.iter_mut() {
-            t.clear();
-        }
-        if let Some(obs) = self.lint.as_deref_mut() {
-            obs.end_phase(
-                self.counters.issued_slots,
-                self.counters.active_thread_slots,
-            );
-        }
-    }
-
-    fn finish(&mut self) -> (u64, ProfileCounters) {
-        (self.cycles, self.counters)
-    }
 }
 
 /// Per-block execution context handed to the kernel closure.
@@ -325,29 +169,30 @@ impl PhaseSink for RetainedSink<'_> {
 /// A kernel structures its work as a sequence of [`BlockCtx::phase`]
 /// calls; each phase runs every lane of the block to completion (in lane
 /// order) and ends with an implicit block-wide barrier. Lane traces are
-/// replayed warp-by-warp for profiling and timing — by default the
-/// moment each warp finishes recording its slice of the phase (see
-/// [`PhaseSink`]). All growable state lives in the borrowed
-/// [`BlockScratch`] arena.
+/// replayed warp-by-warp for profiling and timing, the moment each warp
+/// finishes recording its slice of the phase. All growable state lives
+/// in the borrowed [`BlockScratch`] arena.
 pub struct BlockCtx<'a> {
     mem: &'a DeviceMem,
     block_idx: u32,
     block_dim: u32,
     grid_dim: u32,
     shared: &'a mut Vec<u32>,
-    /// Consumes recorded ops: hands out recording buffers and replays
-    /// them (per warp when fused, per phase when retained).
-    sink: &'a mut dyn PhaseSink,
-    /// Phase-based data-race detector (`Some` when the launch enabled
-    /// detection): records this block's shared and plain-global accesses
-    /// between barriers and poisons the block on a cross-lane conflict.
+    /// Consumes recorded ops: hands out the warp's recording buffers
+    /// and replays them as each warp completes.
+    sink: FusedSink<'a>,
+    /// Phase-based data-race detector (`Some` on a
+    /// [`Device::with_race_detection`] device): records this block's
+    /// shared and plain-global accesses between barriers and poisons the
+    /// block on a cross-lane conflict.
     race: Option<RaceTracker>,
-    /// SimSan (`Some` when the launch enabled the sanitizer): vets every
+    /// SimSan (`Some` on a [`Device::with_sanitizer`] device): vets every
     /// access against the shadow state and poisons the block on a report.
     san: Option<SanTracker>,
-    /// SimLint barrier-divergence verifier (`Some` when the launch
-    /// enabled lints): tracks per-lane barrier arrivals each phase and
-    /// poisons the block when live lanes disagree on reaching a barrier.
+    /// SimLint barrier-divergence verifier (`Some` on a
+    /// [`Device::with_lints`] device): tracks per-lane barrier arrivals
+    /// each phase and poisons the block when live lanes disagree on
+    /// reaching a barrier.
     lint: Option<BarrierLint>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
     /// is skipped by every later phase (it has exited the kernel).
@@ -432,15 +277,15 @@ impl<'a> BlockCtx<'a> {
                 lane.flush_compute();
                 tid += 1;
             }
-            // The warp's slice of the phase is fully recorded: the fused
-            // sink replays it here, while its trace words are still hot.
+            // The warp's slice of the phase is fully recorded: the sink
+            // replays it here, while its trace words are still hot.
             self.sink.warp_complete();
         }
         self.barrier();
     }
 
     /// End the phase: close the analysis epochs and fold the phase's
-    /// replay cycles (the retained sink also replays here).
+    /// replay cycles.
     fn barrier(&mut self) {
         if let Some(t) = self.race.as_mut() {
             t.end_phase();
@@ -565,7 +410,7 @@ impl<'a> LaneCtx<'a, '_> {
     }
 
     /// Run one shared-memory access through the race detector (if the
-    /// launch enabled it); a conflict poisons the block. Out-of-range
+    /// device enables it); a conflict poisons the block. Out-of-range
     /// indices are skipped so the subsequent data access reports the
     /// bounds fault with its usual message.
     ///
@@ -617,7 +462,7 @@ impl<'a> LaneCtx<'a, '_> {
     }
 
     /// Vet one shared-memory access against the SimSan shadow (if the
-    /// launch enabled the sanitizer); a report poisons the block. Checks
+    /// device enables the sanitizer); a report poisons the block. Checks
     /// never touch the lane trace or the cost model, so a clean kernel's
     /// counters and cycles are identical sanitizer-on and -off.
     #[inline(always)]
@@ -663,7 +508,7 @@ impl<'a> LaneCtx<'a, '_> {
 
     /// Record `n` arithmetic instructions (comparisons, address math...).
     /// Run-length encoded: adjacent calls merge into one trace word (see
-    /// [`LaneTrace::push_compute`] and [`LaneCtx::pending_compute`]).
+    /// `LaneTrace::push_compute` and `LaneCtx::pending_compute`).
     #[inline]
     pub fn compute(&mut self, n: u32) {
         self.pending_compute += n;
@@ -1076,24 +921,16 @@ pub(crate) fn run_block<F>(
 where
     F: Fn(&mut BlockCtx<'_>) + Sync,
 {
+    let config = dev.config();
     // Each warp's proportional slice of the SM's L1, direct-mapped,
     // rounded to a power of two (V100: 4096 sectors / 64 warps = 64).
-    let l1_slice = (dev.config().l1_sectors_per_sm as u64 * WARP_SIZE as u64
-        / dev.config().max_threads_per_sm.max(1) as u64)
+    let l1_slice = (config.l1_sectors_per_sm as u64 * WARP_SIZE as u64
+        / config.max_threads_per_sm.max(1) as u64)
         .max(16)
         .next_power_of_two() as usize;
     let warps = (cfg.block_dim as usize).div_ceil(WARP_SIZE);
-    let retained = cfg.retained_trace || dev.config().force_retained_trace;
-    // The fused engine recycles one warp's worth of lane buffers; the
-    // retained engine records the whole block before replaying.
-    let trace_lanes = if retained {
-        cfg.block_dim as usize
-    } else {
-        (cfg.block_dim as usize).min(WARP_SIZE)
-    };
     scratch.reset(
         cfg.shared_words as usize,
-        trace_lanes,
         warps * l1_slice,
         cfg.block_dim as usize,
     );
@@ -1104,30 +941,22 @@ where
         replay,
         retired,
     } = scratch;
-    let cost = dev.config().cost;
-    let lint_on = cfg.lint || dev.config().force_lints;
-    let mut lint_obs = lint_on.then(LintObserver::new);
-    let mut fused;
-    let mut two_pass;
-    let sink: &mut dyn PhaseSink = if retained {
-        two_pass = RetainedSink::new(traces, replay, cost, lint_obs.as_mut());
-        &mut two_pass
-    } else {
-        fused = FusedSink::new(traces, replay, cost, lint_obs.as_mut());
-        &mut fused
-    };
+    // The device's three analysis flags are the only switches read here.
+    let mut lint_obs = config.force_lints.then(LintObserver::new);
     let mut blk = BlockCtx {
         mem,
         block_idx,
         block_dim: cfg.block_dim,
         grid_dim: cfg.grid_dim,
         shared,
-        sink,
-        race: (cfg.race_detect || dev.config().force_race_detection)
+        sink: FusedSink::new(traces, replay, config.cost, lint_obs.as_mut()),
+        race: config
+            .force_race_detection
             .then(|| RaceTracker::new(cfg.shared_words as usize)),
-        san: (cfg.sanitize || dev.config().force_sanitizer)
+        san: config
+            .force_sanitizer
             .then(|| SanTracker::new(cfg.shared_words as usize)),
-        lint: lint_on.then(|| BarrierLint::new(cfg.block_dim)),
+        lint: config.force_lints.then(|| BarrierLint::new(cfg.block_dim)),
         retired,
         l1,
         l1_slice,
@@ -1136,7 +965,7 @@ where
     kernel(&mut blk);
     // Flush any trailing un-barriered work (kernel end is a barrier).
     blk.barrier();
-    let (cycles, mut counters) = blk.sink.finish();
+    let (cycles, mut counters) = (blk.sink.cycles, blk.sink.counters);
     if let Some(t) = &blk.race {
         counters.race_checks += t.checks;
         counters.races_detected += t.races;

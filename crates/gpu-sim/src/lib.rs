@@ -33,7 +33,7 @@
 //! barrier is deterministic. Reading a value another lane wrote in the
 //! *same* phase is a data race in CUDA and is unsupported here too: the
 //! phase-based race detector (see [`race`](crate::RaceKind) and
-//! [`KernelConfig::with_race_detection`]) turns such conflicts into
+//! [`Device::with_race_detection`]) turns such conflicts into
 //! [`SimError::DataRace`] failures instead of silently reporting whichever
 //! interleaving the sequential lane order happened to produce.
 //!

@@ -29,9 +29,9 @@
 //!   [`LintReport`] attached to
 //!   [`LaunchStats`](crate::LaunchStats).
 //!
-//! Like the race detector and SimSan, SimLint is off by default
-//! (per-launch [`KernelConfig::with_lints`](crate::KernelConfig::with_lints),
-//! per-device [`Device::with_lints`](crate::Device::with_lints)) and is
+//! Like the race detector and SimSan, SimLint is off by default and is
+//! switched on for every launch on a device via
+//! [`Device::with_lints`](crate::Device::with_lints). It is
 //! zero-perturbation: observers only *read* values the replay already
 //! computed, so counters and cycles are byte-identical lints-on vs
 //! lints-off.
@@ -149,7 +149,7 @@ pub struct Diag {
     /// Witness lane pair (agreeing lane, diverging lane) for barrier
     /// diagnostics.
     pub lanes: Option<(u32, u32)>,
-    /// Where: the shared [`SourceLoc`] rendering ("phase N, `buf`[i]").
+    /// Where: the shared `SourceLoc` rendering (`` phase N, `buf`[i] ``).
     pub pc_hint: String,
     /// What: a human-readable, deterministic one-liner.
     pub detail: String,
@@ -424,9 +424,8 @@ impl PhaseAgg {
 }
 
 /// The replay-side collector. One observer lives per block (fed by the
-/// replay's slot passes through whichever [`PhaseSink`] is active — the
-/// fused and retained engines replay phase P's warps in the same order,
-/// so attribution is engine-identical); `Device::launch` folds the
+/// replay's slot passes as each warp of a phase completes, in warp
+/// order, and phase-advanced at the barrier); `Device::launch` folds the
 /// per-block observers in block order and renders the merged result
 /// into a [`LintReport`].
 ///
@@ -499,7 +498,7 @@ impl LintObserver {
     }
 
     /// Close the phase, attributing the slot-count delta since the last
-    /// close (the sinks pass their running totals) to it.
+    /// close (the replay sink passes its running totals) to it.
     pub(crate) fn end_phase(&mut self, issued_total: u64, active_total: u64) {
         let di = issued_total - self.last_issued;
         let da = active_total - self.last_active;

@@ -27,7 +27,7 @@
 //! * **double-free** / **leak** — host-side allocator misuse, reported
 //!   by [`DeviceMem::free`](crate::DeviceMem::free) and
 //!   [`DeviceMem::leak_check`](crate::DeviceMem::leak_check) (these two
-//!   are always on; they are accounting-integrity checks, not per-launch
+//!   are always on; they are accounting-integrity checks, not lane-side
 //!   instrumentation).
 //!
 //! The per-word shadow lattice is `Unallocated → Uninit → Init → Freed`
@@ -36,9 +36,9 @@
 //! unsanitized launches, so enabling the sanitizer later never
 //! false-positives on state written while it was off.
 //!
-//! Like race detection, lane-side checking is off by default and toggles
-//! per launch ([`KernelConfig::with_sanitizer`](crate::KernelConfig::with_sanitizer))
-//! or per device ([`Device::with_sanitizer`](crate::Device::with_sanitizer)).
+//! Like race detection, lane-side checking is off by default and is
+//! switched on for every launch on a device via
+//! [`Device::with_sanitizer`](crate::Device::with_sanitizer).
 //! A report poisons the block exactly like `MemoryFault`/`DataRace` and
 //! surfaces as [`SimError::Sanitizer`](crate::SimError::Sanitizer);
 //! `sanitizer_checks`/`sanitizer_reports` land in

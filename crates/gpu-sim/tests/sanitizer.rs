@@ -256,10 +256,10 @@ fn clean_twin_initializes_shared_before_the_barrier() {
     assert_eq!(mem.read_back(sink)[31], 32);
 }
 
-// --- toggles and counters -------------------------------------------------
+// --- switches and counters ------------------------------------------------
 
 #[test]
-fn sanitizer_is_off_by_default_and_toggles_per_launch() {
+fn sanitizer_is_off_on_a_plain_device_and_on_for_a_sanitized_device() {
     let dev = Device::v100();
     let mut mem = DeviceMem::new(&dev);
     let buf = mem.alloc_uninit(32, "raw").unwrap();
@@ -272,9 +272,9 @@ fn sanitizer_is_off_by_default_and_toggles_per_launch() {
         })
         .unwrap();
     assert_eq!(stats.counters.sanitizer_checks, 0);
-    // On (per launch): the same kernel is refused.
-    let err = dev
-        .launch(&mem, KernelConfig::new(1, 32).with_sanitizer(true), |blk| {
+    // On (sanitized device): the same kernel is refused.
+    let err = sanitized()
+        .launch(&mem, KernelConfig::new(1, 32), |blk| {
             blk.phase(|lane| {
                 lane.ld_global(buf, lane.tid() as usize);
             });

@@ -16,8 +16,9 @@ pub mod lint_json;
 use gpu_sim::Device;
 use graph_data::{DatasetSpec, SizeClass, TABLE2_DATASETS};
 use tc_algos::api::TcAlgorithm;
+use tc_core::framework::backend::{run_matrix_backends, run_matrix_backends_parallel, SimBackend};
 use tc_core::framework::registry::all_algorithms;
-use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
+use tc_core::framework::runner::RunRecord;
 
 /// Run the given algorithms over the given datasets on a simulated V100.
 ///
@@ -28,14 +29,14 @@ use tc_core::framework::runner::{run_matrix, run_matrix_parallel, RunRecord};
 /// calling [`sweep_serial`] instead.
 pub fn sweep(algos: &[Box<dyn TcAlgorithm>], datasets: &[DatasetSpec]) -> Vec<RunRecord> {
     let dev = Device::v100();
-    run_matrix_parallel(&dev, algos, datasets)
+    run_matrix_backends_parallel(&[&SimBackend { dev: &dev }], algos, datasets)
 }
 
 /// [`sweep`] without the parallel fan-out — one cell at a time, for
 /// debugging or for minimizing peak memory on huge sweeps.
 pub fn sweep_serial(algos: &[Box<dyn TcAlgorithm>], datasets: &[DatasetSpec]) -> Vec<RunRecord> {
     let dev = Device::v100();
-    run_matrix(&dev, algos, datasets)
+    run_matrix_backends(&[&SimBackend { dev: &dev }], algos, datasets)
 }
 
 /// The paper's full evaluation: all nine algorithms on the given

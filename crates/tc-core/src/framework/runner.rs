@@ -4,11 +4,11 @@
 //! reference. This produces the raw matrix behind Figures 11, 12, 13
 //! and 15.
 //!
-//! Two sweep drivers share the same per-cell code: [`run_matrix`]
-//! (serial, dataset-major) and [`run_matrix_parallel`], which fans the
-//! (algorithm x dataset) cells over a thread pool and returns records in
-//! the exact same order, with faulting cells isolated as
-//! [`RunOutcome::Failed`] instead of aborting the sweep.
+//! [`run_on_dataset`] is the simulator's per-cell code; the sweep
+//! drivers live in [`backend`](crate::framework::backend), which run it
+//! through [`SimBackend`](crate::framework::backend::SimBackend) and
+//! isolate faulting cells as [`RunOutcome::Failed`] instead of aborting
+//! the sweep.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -19,15 +19,14 @@ use graph_data::{cpu_ref, orient, DagGraph, DatasetSpec, GraphStats, Orientation
 use tc_algos::api::TcAlgorithm;
 use tc_algos::device_graph::DeviceGraph;
 
-use rayon::prelude::*;
-
 /// A dataset after the preparation pipeline: generated (or loaded),
 /// cleaned, with statistics, ground truth, and oriented variants cached.
 ///
 /// Every orientation the registered algorithm set can ask for is
 /// precomputed at preparation time, so running a cell needs only `&self`
-/// — which is what lets [`run_matrix_parallel`] share one prepared
-/// dataset across concurrent cells.
+/// — which is what lets
+/// [`run_matrix_backends_parallel`](crate::framework::backend::run_matrix_backends_parallel)
+/// share one prepared dataset across concurrent cells.
 pub struct PreparedDataset {
     pub spec: DatasetSpec,
     pub graph: UndirGraph,
@@ -189,48 +188,10 @@ pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDatas
     }
 }
 
-/// The full evaluation sweep: every algorithm on every dataset, serially,
-/// dataset-major. Returns one record per cell.
-pub fn run_matrix(
-    dev: &Device,
-    algos: &[Box<dyn TcAlgorithm>],
-    datasets: &[DatasetSpec],
-) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(algos.len() * datasets.len());
-    for spec in datasets {
-        let data = PreparedDataset::prepare(spec);
-        for algo in algos {
-            records.push(run_on_dataset(dev, algo.as_ref(), &data));
-        }
-    }
-    records
-}
-
-/// The full evaluation sweep, parallel and fault-isolated: datasets are
-/// prepared concurrently, then every (algorithm, dataset) cell is fanned
-/// over the thread pool. Records come back in exactly [`run_matrix`]'s
-/// order (dataset-major), and because the simulator is deterministic the
-/// modelled outcomes are identical to the serial sweep's — only the
-/// measured [`RunRecord::wall`] fields differ.
-pub fn run_matrix_parallel(
-    dev: &Device,
-    algos: &[Box<dyn TcAlgorithm>],
-    datasets: &[DatasetSpec],
-) -> Vec<RunRecord> {
-    let prepared: Vec<PreparedDataset> =
-        datasets.par_iter().map(PreparedDataset::prepare).collect();
-    let cells: Vec<(usize, usize)> = (0..datasets.len())
-        .flat_map(|d| (0..algos.len()).map(move |a| (d, a)))
-        .collect();
-    cells
-        .into_par_iter()
-        .map(|(d, a)| run_on_dataset(dev, algos[a].as_ref(), &prepared[d]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::backend::{run_matrix_backends_parallel, SimBackend};
     use crate::framework::registry::all_algorithms;
     use graph_data::datasets::{GenSpec, SizeClass};
 
@@ -275,18 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn run_matrix_shape() {
-        let dev = Device::v100();
-        let algos = all_algorithms();
-        let specs = [tiny_spec()];
-        let records = run_matrix(&dev, &algos, &specs);
-        assert_eq!(records.len(), algos.len());
-        assert!(records.iter().all(|r| r.is_verified()));
-        assert!(records.iter().all(|r| r.kernel_cycles().unwrap() > 0));
-        assert!(records.iter().all(|r| r.counters().is_some()));
-    }
-
-    #[test]
     fn oriented_variants_cached() {
         let data = PreparedDataset::prepare(&tiny_spec());
         // The standard orientations are precomputed, so `dag` serves them
@@ -302,42 +251,6 @@ mod tests {
         let e1 = data.dag(Orientation::ById).num_edges();
         let e2 = data.dag(Orientation::DegreeAsc).num_edges();
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn parallel_matrix_matches_serial() {
-        let dev = Device::v100();
-        let algos = all_algorithms();
-        let specs = [tiny_spec()];
-        let serial = run_matrix(&dev, &algos, &specs);
-        let parallel = run_matrix_parallel(&dev, &algos, &specs);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.algorithm, p.algorithm);
-            assert_eq!(s.dataset, p.dataset);
-            match (&s.outcome, &p.outcome) {
-                (
-                    RunOutcome::Ok {
-                        triangles: st,
-                        kernel_cycles: sc,
-                        counters: sk,
-                        verified: sv,
-                    },
-                    RunOutcome::Ok {
-                        triangles: pt,
-                        kernel_cycles: pc,
-                        counters: pk,
-                        verified: pv,
-                    },
-                ) => {
-                    assert_eq!(st, pt, "{}", s.algorithm);
-                    assert_eq!(sc, pc, "{}", s.algorithm);
-                    assert_eq!(sk, pk, "{}", s.algorithm);
-                    assert_eq!(sv, pv, "{}", s.algorithm);
-                }
-                (a, b) => panic!("outcome mismatch for {}: {a:?} vs {b:?}", s.algorithm),
-            }
-        }
     }
 
     /// An "implementation" that reads past its edge buffer, like a real
@@ -600,7 +513,7 @@ mod tests {
         let mut algos = all_algorithms();
         algos.push(Box::new(OobAlgo));
         let specs = [tiny_spec()];
-        let records = run_matrix_parallel(&dev, &algos, &specs);
+        let records = run_matrix_backends_parallel(&[&SimBackend { dev: &dev }], &algos, &specs);
         assert_eq!(records.len(), algos.len());
         let failed: Vec<&RunRecord> = records
             .iter()

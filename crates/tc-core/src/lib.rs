@@ -23,8 +23,6 @@ pub use framework::backend::{
 };
 pub use framework::conformance::{run_conformance, run_conformance_suite, ConformanceReport};
 pub use framework::registry::all_algorithms;
-pub use framework::runner::{
-    run_matrix, run_matrix_parallel, run_on_dataset, PreparedDataset, RunOutcome, RunRecord,
-};
+pub use framework::runner::{run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
 pub use grouptc::{GroupTc, GroupTcConfig};
 pub use grouptc_hybrid::GroupTcHybrid;

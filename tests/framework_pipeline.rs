@@ -5,7 +5,7 @@ use tc_compare::core::framework::claims::{check_claims, render_claims};
 use tc_compare::core::framework::csv::{write_records, CSV_HEADER};
 use tc_compare::core::framework::registry::{algorithm_by_name, all_algorithms};
 use tc_compare::core::framework::report::{extract, MatrixView};
-use tc_compare::core::{run_matrix, PreparedDataset};
+use tc_compare::core::{run_matrix_backends, PreparedDataset, SimBackend};
 use tc_compare::graph::datasets::GenSpec;
 use tc_compare::graph::{DatasetSpec, SizeClass};
 use tc_compare::sim::Device;
@@ -46,7 +46,7 @@ fn sweep_report_csv_and_claims_end_to_end() {
     let dev = Device::v100();
     let algos = all_algorithms();
     let specs = specs();
-    let records = run_matrix(&dev, &algos, &specs);
+    let records = run_matrix_backends(&[&SimBackend { dev: &dev }], &algos, &specs);
     assert_eq!(records.len(), algos.len() * specs.len());
     assert!(records.iter().all(|r| r.is_verified()), "all cells verify");
 
