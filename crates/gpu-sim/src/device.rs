@@ -1,3 +1,5 @@
+use std::sync::Mutex;
+
 use crate::counters::{LaunchStats, ProfileCounters};
 use crate::exec::{run_block, BlockCtx, BlockScratch, KernelConfig};
 use crate::lint::{build_report, LintConfig, LintObserver};
@@ -192,32 +194,40 @@ impl Device {
 
         // Each block runs independently; each rayon worker carries one
         // BlockScratch arena across every block it simulates, so the
-        // steady-state replay loop allocates nothing.
-        let results: Result<Vec<(u64, ProfileCounters, Option<LintObserver>)>, SimError> = (0..cfg
-            .grid_dim)
+        // steady-state replay loop allocates nothing. On a linted device
+        // each finished block's observations fold straight into one
+        // launch-wide accumulator: the fold is commutative (see
+        // `LintObserver::fold`), so the report is deterministic whatever
+        // order the workers finish blocks in, and memory stays at one
+        // observer per worker instead of one per block.
+        let lint_acc = self
+            .config
+            .force_lints
+            .then(|| Mutex::new(LintObserver::default()));
+        let results: Result<Vec<(u64, ProfileCounters)>, SimError> = (0..cfg.grid_dim)
             .into_par_iter()
             .map_init(BlockScratch::default, |scratch, block_idx| {
-                run_block(self, mem, &cfg, block_idx, &kernel, scratch)
+                let out = run_block(self, mem, &cfg, block_idx, &kernel, scratch)?;
+                if let Some(acc) = &lint_acc {
+                    acc.lock()
+                        .expect("lint accumulator poisoned")
+                        .fold(scratch.lint_observer());
+                }
+                Ok(out)
             })
             .collect();
         let per_block = results?;
 
         let mut counters = ProfileCounters::default();
         let mut cycles = Vec::with_capacity(per_block.len());
-        // Lint observers fold in block order (the collect above preserves
-        // it), so the merged per-phase aggregates — and the report built
-        // from them — are deterministic regardless of rayon scheduling.
-        let mut merged_lint: Option<LintObserver> = None;
-        for (c, pc, obs) in per_block {
+        for (c, pc) in per_block {
             cycles.push(c);
             counters += pc;
-            match (&mut merged_lint, obs) {
-                (Some(acc), Some(o)) => acc.fold(&o),
-                (acc @ None, Some(o)) => *acc = Some(o),
-                (_, None) => {}
-            }
         }
-        let lint = merged_lint.map(|obs| build_report(&obs, mem, &LintConfig::default()));
+        let lint = lint_acc.map(|acc| {
+            let obs = acc.into_inner().expect("lint accumulator poisoned");
+            build_report(&obs, mem, &LintConfig::default())
+        });
 
         let parallel_slots = (self.config.num_sms * self.resident_blocks_per_sm(&cfg)) as usize;
         let compute_cycles = schedule_blocks(&cycles, parallel_slots);

@@ -54,6 +54,12 @@ pub fn global_thread_id(block_idx: u32, block_dim: u32, tid: u32) -> u64 {
 /// `traces` holds one warp's worth of lane buffers (≤ 32), recycled
 /// across every warp of every phase — that tiny working set is what
 /// keeps trace words L1-resident between record and replay.
+///
+/// The analysis state (race detector, SimSan, SimLint verifier and
+/// observer) lives here too and is reset per block only when the
+/// device switches that analysis on, so a checked launch allocates its
+/// tables once per worker rather than once per block, and a plain
+/// launch never touches them.
 #[derive(Default)]
 pub struct BlockScratch {
     shared: Vec<u32>,
@@ -63,6 +69,10 @@ pub struct BlockScratch {
     /// Per-lane retirement flags (see [`LaneCtx::retire`]): a retired
     /// lane is skipped by every later phase of its block.
     retired: Vec<bool>,
+    race: RaceTracker,
+    san: SanTracker,
+    barrier: BarrierLint,
+    lint: LintObserver,
 }
 
 impl BlockScratch {
@@ -81,6 +91,12 @@ impl BlockScratch {
         self.l1.resize(l1_len, u64::MAX);
         self.retired.clear();
         self.retired.resize(block_dim, false);
+    }
+
+    /// The SimLint observations of the block this arena last ran (read
+    /// by `Device::launch` to fold them into the launch's report).
+    pub(crate) fn lint_observer(&self) -> &LintObserver {
+        &self.lint
     }
 }
 
@@ -185,15 +201,15 @@ pub struct BlockCtx<'a> {
     /// [`Device::with_race_detection`] device): records this block's
     /// shared and plain-global accesses between barriers and poisons the
     /// block on a cross-lane conflict.
-    race: Option<RaceTracker>,
+    race: Option<&'a mut RaceTracker>,
     /// SimSan (`Some` on a [`Device::with_sanitizer`] device): vets every
     /// access against the shadow state and poisons the block on a report.
-    san: Option<SanTracker>,
+    san: Option<&'a mut SanTracker>,
     /// SimLint barrier-divergence verifier (`Some` on a
     /// [`Device::with_lints`] device): tracks per-lane barrier arrivals
     /// each phase and poisons the block when live lanes disagree on
     /// reaching a barrier.
-    lint: Option<BarrierLint>,
+    lint: Option<&'a mut BarrierLint>,
     /// Per-lane retirement flags: a lane that called [`LaneCtx::retire`]
     /// is skipped by every later phase (it has exited the kernel).
     retired: &'a mut Vec<bool>,
@@ -260,9 +276,9 @@ impl<'a> BlockCtx<'a> {
                     mem: self.mem,
                     shared: self.shared,
                     trace: self.sink.lane_trace(tid),
-                    race: &mut self.race,
-                    san: &mut self.san,
-                    lint: &mut self.lint,
+                    race: self.race.as_deref_mut(),
+                    san: self.san.as_deref_mut(),
+                    lint: self.lint.as_deref_mut(),
                     retired: &mut self.retired[tid as usize],
                     l1: &mut self.l1[l1_base..l1_base + self.l1_slice],
                     buf_cache: None,
@@ -314,9 +330,9 @@ pub struct LaneCtx<'a, 'b> {
     mem: &'a DeviceMem,
     shared: &'b mut Vec<u32>,
     trace: &'b mut LaneTrace,
-    race: &'b mut Option<RaceTracker>,
-    san: &'b mut Option<SanTracker>,
-    lint: &'b mut Option<BarrierLint>,
+    race: Option<&'b mut RaceTracker>,
+    san: Option<&'b mut SanTracker>,
+    lint: Option<&'b mut BarrierLint>,
     /// This lane's retirement flag (see [`LaneCtx::retire`]).
     retired: &'b mut bool,
     l1: &'b mut [u64],
@@ -447,15 +463,16 @@ impl<'a> LaneCtx<'a, '_> {
         }
     }
 
+    /// Resolves `buf` through the lane's buffer cache, like the data
+    /// access it guards.
     #[inline(never)]
     fn race_check_global_slow(&mut self, buf: BufId, idx: usize, access: Access) {
         let tid = self.tid;
-        let addr = self.mem.addr_of(buf, idx);
-        let name = self.mem.name(buf);
+        let b = self.global_buf(buf);
         if let Some(err) = self
             .race
             .as_mut()
-            .and_then(|t| t.check_global(tid, addr, name, idx, access))
+            .and_then(|t| t.check_global(tid, b.addr_of(idx), b.name(), idx, access))
         {
             self.set_fault(err);
         }
@@ -495,12 +512,11 @@ impl<'a> LaneCtx<'a, '_> {
     #[inline(never)]
     fn san_check_global_slow(&mut self, buf: BufId, idx: usize, access: ShadowAccess) {
         let tid = self.tid;
-        let state = self.mem.shadow_state(buf, idx);
-        let name = self.mem.name(buf);
+        let b = self.global_buf(buf);
         if let Some(err) = self
             .san
             .as_mut()
-            .and_then(|t| t.check_global(tid, state, name, idx, access))
+            .and_then(|t| t.check_global(tid, b.shadow_state(idx), b.name(), idx, access))
         {
             self.set_fault(err);
         }
@@ -661,7 +677,7 @@ impl<'a> LaneCtx<'a, '_> {
         if self.race.is_some() {
             // A store of the word's current value is a benign "silent
             // store"; anything else conflicts with concurrent accesses.
-            if let Ok(cur) = self.mem.try_load(buf, idx) {
+            if let Ok(cur) = self.global_buf(buf).try_load(idx) {
                 self.race_check_global(
                     buf,
                     idx,
@@ -909,7 +925,9 @@ impl<'a> LaneCtx<'a, '_> {
 
 /// Execute one block and return its (cycles, counters). The caller owns
 /// the [`BlockScratch`] arena (one per rayon worker) so consecutive
-/// blocks reuse every buffer.
+/// blocks reuse every buffer; on a linted device the block's performance
+/// observations are left in the arena (see
+/// [`BlockScratch::lint_observer`]).
 pub(crate) fn run_block<F>(
     dev: &Device,
     mem: &DeviceMem,
@@ -917,7 +935,7 @@ pub(crate) fn run_block<F>(
     block_idx: u32,
     kernel: &F,
     scratch: &mut BlockScratch,
-) -> Result<(u64, ProfileCounters, Option<LintObserver>), SimError>
+) -> Result<(u64, ProfileCounters), SimError>
 where
     F: Fn(&mut BlockCtx<'_>) + Sync,
 {
@@ -940,23 +958,39 @@ where
         l1,
         replay,
         retired,
+        race,
+        san,
+        barrier,
+        lint,
     } = scratch;
     // The device's three analysis flags are the only switches read here.
-    let mut lint_obs = config.force_lints.then(LintObserver::new);
+    let shared_words = cfg.shared_words as usize;
+    let race = config.force_race_detection.then(|| {
+        race.reset(shared_words);
+        race
+    });
+    let san = config.force_sanitizer.then(|| {
+        san.reset(shared_words);
+        san
+    });
+    let barrier = config.force_lints.then(|| {
+        barrier.reset(cfg.block_dim);
+        barrier
+    });
+    let lint_obs = config.force_lints.then(|| {
+        lint.reset(block_idx);
+        lint
+    });
     let mut blk = BlockCtx {
         mem,
         block_idx,
         block_dim: cfg.block_dim,
         grid_dim: cfg.grid_dim,
         shared,
-        sink: FusedSink::new(traces, replay, config.cost, lint_obs.as_mut()),
-        race: config
-            .force_race_detection
-            .then(|| RaceTracker::new(cfg.shared_words as usize)),
-        san: config
-            .force_sanitizer
-            .then(|| SanTracker::new(cfg.shared_words as usize)),
-        lint: config.force_lints.then(|| BarrierLint::new(cfg.block_dim)),
+        sink: FusedSink::new(traces, replay, config.cost, lint_obs),
+        race,
+        san,
+        lint: barrier,
         retired,
         l1,
         l1_slice,
@@ -977,14 +1011,13 @@ where
     if let Some(t) = &blk.lint {
         counters.lint_checks += t.checks;
     }
-    let fault = blk.fault;
-    if let Some(err) = fault {
-        return Err(err);
-    }
-    if let Some(obs) = &lint_obs {
+    if let Some(obs) = &blk.sink.lint {
         counters.lint_checks += obs.checks;
     }
-    Ok((cycles, counters, lint_obs))
+    match blk.fault {
+        Some(err) => Err(err),
+        None => Ok((cycles, counters)),
+    }
 }
 
 /// A warp holds at most [`WARP_SIZE`] lanes and each lane contributes at

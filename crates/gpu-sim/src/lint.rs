@@ -246,9 +246,11 @@ impl Default for LintConfig {
 /// instead of a two-thread abstraction over symbolic barriers, the
 /// sequential phase model lets us count *concrete* barrier arrivals per
 /// lane and compare them at the phase end, where real hardware would
-/// either reconverge or hang.
+/// either reconverge or hang. One verifier lives in each worker's block
+/// arena and is [`reset`](BarrierLint::reset) per block.
+#[derive(Default)]
 pub(crate) struct BarrierLint {
-    /// 1-based phase counter, aligned with the race/SimSan epochs (and
+    /// 1-based phase counter, aligned with the race/SimSan phases (and
     /// with every `pc_hint` the simulator emits).
     phase: u64,
     /// Barrier arrivals per lane in the current phase.
@@ -262,13 +264,21 @@ pub(crate) struct BarrierLint {
 }
 
 impl BarrierLint {
+    #[cfg(test)]
     pub(crate) fn new(block_dim: u32) -> Self {
-        BarrierLint {
-            phase: 1,
-            arrivals: vec![0; block_dim as usize],
-            retired_at: vec![0; block_dim as usize],
-            checks: 0,
-        }
+        let mut t = BarrierLint::default();
+        t.reset(block_dim);
+        t
+    }
+
+    /// Start a new block of `block_dim` live lanes at phase 1.
+    pub(crate) fn reset(&mut self, block_dim: u32) {
+        self.phase = 1;
+        self.arrivals.clear();
+        self.arrivals.resize(block_dim as usize, 0);
+        self.retired_at.clear();
+        self.retired_at.resize(block_dim as usize, 0);
+        self.checks = 0;
     }
 
     pub(crate) fn arrive(&mut self, tid: u32) {
@@ -337,41 +347,62 @@ impl BarrierLint {
 }
 
 // ---------------------------------------------------------------------
-// Performance-lint observer (replay side, per block, merged per launch)
+// Performance-lint observer (replay side, per block, folded per launch)
 // ---------------------------------------------------------------------
 
 /// Per-site aggregate: one entry per (phase, access kind). `units` is
 /// the rule's serialization measure — sectors per load/store slot,
 /// conflict ways per shared slot, collision depth per atomic slot.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct SiteAgg {
     requests: u64,
     units: u64,
     /// Worst single-slot value, with a representative address of that
-    /// slot for buffer attribution in the report.
+    /// slot for buffer attribution in the report and the block that
+    /// recorded it (the first such slot within the block).
     worst: u64,
     worst_site: u64,
+    worst_block: u32,
+}
+
+impl Default for SiteAgg {
+    fn default() -> Self {
+        SiteAgg {
+            requests: 0,
+            units: 0,
+            worst: 0,
+            worst_site: 0,
+            // No block: any recorded witness outranks it on a tie.
+            worst_block: u32::MAX,
+        }
+    }
 }
 
 impl SiteAgg {
     #[inline]
-    fn record(&mut self, units: u64, site: u64) {
+    fn record(&mut self, units: u64, site: u64, block: u32) {
         self.requests += 1;
         self.units += units;
         if units > self.worst {
             self.worst = units;
             self.worst_site = site;
+            self.worst_block = block;
         }
     }
 
+    /// Commutative and associative: sums add, and the witness is the
+    /// largest `worst`, ties going to the lower block index — exactly
+    /// the witness an in-block-order fold with strict `>` would keep, so
+    /// blocks can be folded in whatever order they finish.
     fn fold(&mut self, o: &SiteAgg) {
         self.requests += o.requests;
         self.units += o.units;
-        // Strict `>` keeps the first (lowest block index) witness on
-        // ties, so the merged report is deterministic.
-        if o.worst > self.worst {
+        if (o.worst, std::cmp::Reverse(o.worst_block))
+            > (self.worst, std::cmp::Reverse(self.worst_block))
+        {
             self.worst = o.worst;
             self.worst_site = o.worst_site;
+            self.worst_block = o.worst_block;
         }
     }
 }
@@ -423,16 +454,22 @@ impl PhaseAgg {
     }
 }
 
-/// The replay-side collector. One observer lives per block (fed by the
-/// replay's slot passes as each warp of a phase completes, in warp
-/// order, and phase-advanced at the barrier); `Device::launch` folds the
-/// per-block observers in block order and renders the merged result
-/// into a [`LintReport`].
+/// The replay-side collector. One observer lives in each worker's block
+/// arena and is [`reset`](LintObserver::reset) per block; it is fed by
+/// the replay's slot passes as each warp of a phase completes (in warp
+/// order) and phase-advanced at the barrier. `Device::launch` folds each
+/// finished block's observer into one launch-wide accumulator (the fold
+/// is commutative, so block completion order does not matter) and
+/// renders that into a [`LintReport`]. Memory is one observer per worker
+/// plus the accumulator, whatever the grid size.
 ///
 /// Observation is read-only over values the replay already computed
 /// (sector counts, conflict ways, collision depth, slot totals): the
 /// zero-perturbation guarantee is structural, not aspirational.
+#[derive(Default)]
 pub(crate) struct LintObserver {
+    /// The block being observed; stamps each site's worst witness.
+    block: u32,
     /// 0-based index of the phase currently being replayed.
     cur: usize,
     phases: Vec<PhaseAgg>,
@@ -442,14 +479,22 @@ pub(crate) struct LintObserver {
 }
 
 impl LintObserver {
-    pub(crate) fn new() -> Self {
-        LintObserver {
-            cur: 0,
-            phases: Vec::new(),
-            last_issued: 0,
-            last_active: 0,
-            checks: 0,
-        }
+    #[cfg(test)]
+    pub(crate) fn new(block: u32) -> Self {
+        let mut obs = LintObserver::default();
+        obs.reset(block);
+        obs
+    }
+
+    /// Start observing `block` from its first phase, keeping the phase
+    /// table's allocation.
+    pub(crate) fn reset(&mut self, block: u32) {
+        self.block = block;
+        self.cur = 0;
+        self.phases.clear();
+        self.last_issued = 0;
+        self.last_active = 0;
+        self.checks = 0;
     }
 
     #[inline]
@@ -465,20 +510,23 @@ impl LintObserver {
     #[inline]
     pub(crate) fn global_load(&mut self, transactions: u64, site: u64) {
         self.checks += 1;
-        self.cur_mut().gld.record(transactions, site);
+        let block = self.block;
+        self.cur_mut().gld.record(transactions, site, block);
     }
 
     #[inline]
     pub(crate) fn global_store(&mut self, transactions: u64, site: u64) {
         self.checks += 1;
-        self.cur_mut().gst.record(transactions, site);
+        let block = self.block;
+        self.cur_mut().gst.record(transactions, site, block);
     }
 
     /// One global-atomic slot with worst same-address depth `depth`.
     #[inline]
     pub(crate) fn global_atomic(&mut self, depth: u64, site: u64) {
         self.checks += 1;
-        self.cur_mut().gatom.record(depth, site);
+        let block = self.block;
+        self.cur_mut().gatom.record(depth, site, block);
     }
 
     /// One shared load/store slot with `ways`-way bank serialization;
@@ -486,15 +534,17 @@ impl LintObserver {
     #[inline]
     pub(crate) fn shared_access(&mut self, ways: u64, site: u64) {
         self.checks += 1;
+        let block = self.block;
         let p = self.cur_mut();
-        p.shared.record(ways, site);
+        p.shared.record(ways, site, block);
         p.bank_hist[(ways as usize).min(WARP_SIZE)] += 1;
     }
 
     #[inline]
     pub(crate) fn shared_atomic(&mut self, depth: u64, site: u64) {
         self.checks += 1;
-        self.cur_mut().satom.record(depth, site);
+        let block = self.block;
+        self.cur_mut().satom.record(depth, site, block);
     }
 
     /// Close the phase, attributing the slot-count delta since the last
@@ -510,8 +560,8 @@ impl LintObserver {
         self.cur += 1;
     }
 
-    /// Fold another block's observations in (phase-wise; all commutative
-    /// sums and first-witness maxima, called in block order).
+    /// Fold another block's (or accumulator's) observations in,
+    /// phase-wise. Commutative: see [`SiteAgg::fold`].
     pub(crate) fn fold(&mut self, other: &LintObserver) {
         self.checks += other.checks;
         while self.phases.len() < other.phases.len() {
@@ -766,7 +816,7 @@ mod tests {
     fn report_flags_uncoalesced_loads_above_threshold_only() {
         let mem = mem_with(64);
         let cfg = LintConfig::default();
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         // 16 perfectly coalesced slots (4 sectors each): clean.
         for _ in 0..16 {
             obs.global_load(4, 16);
@@ -775,7 +825,7 @@ mod tests {
         assert!(build_report(&obs, &mem, &cfg).is_clean());
         // 16 fully scattered slots (32 sectors each): flagged, with the
         // worst slot's address resolved to the owning buffer.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         for _ in 0..16 {
             obs.global_load(32, 20);
         }
@@ -794,7 +844,7 @@ mod tests {
     #[test]
     fn report_needs_the_request_floor_before_flagging() {
         let mem = mem_with(64);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         // Worst-possible coalescing, but only 3 requests: not a pattern.
         for _ in 0..3 {
             obs.global_load(32, 0);
@@ -806,7 +856,7 @@ mod tests {
     #[test]
     fn report_flags_bank_conflicts_with_histogram() {
         let mem = mem_with(8);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         obs.shared_access(1, 0);
         obs.shared_access(32, 5);
         obs.end_phase(2, 64);
@@ -825,7 +875,7 @@ mod tests {
     #[test]
     fn report_flags_atomic_contention_global_and_shared() {
         let mem = mem_with(16);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         obs.global_atomic(32, 8);
         obs.shared_atomic(9, 3);
         obs.end_phase(2, 64);
@@ -840,17 +890,17 @@ mod tests {
         let mem = mem_with(1);
         let cfg = LintConfig::default();
         // 1000 slots at 2 active lanes each: efficiency 2/32 < 0.25.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         obs.end_phase(1000, 2000);
         let report = build_report(&obs, &mem, &cfg);
         assert_eq!(report.count(LintRule::LowOccupancy), 1);
         assert!(report.diags[0].detail.contains("0.06"));
         // Same shape under the floor: too small to call a phase.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         obs.end_phase(100, 200);
         assert!(build_report(&obs, &mem, &cfg).is_clean());
         // Busy and efficient: clean.
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         obs.end_phase(1000, 32_000);
         assert!(build_report(&obs, &mem, &cfg).is_clean());
     }
@@ -858,12 +908,12 @@ mod tests {
     #[test]
     fn phase_attribution_survives_folding_blocks() {
         let mem = mem_with(64);
-        let mut a = LintObserver::new();
+        let mut a = LintObserver::new(0);
         for _ in 0..10 {
             a.global_load(32, 16);
         }
         a.end_phase(10, 320);
-        let mut b = LintObserver::new();
+        let mut b = LintObserver::new(0);
         for _ in 0..10 {
             b.global_load(32, 16);
         }
@@ -876,11 +926,101 @@ mod tests {
         assert_eq!(a.checks, 20);
     }
 
+    /// Per-block observers over three phases whose worst values tie
+    /// across blocks at different sites (and differ in request counts),
+    /// so both the sums and the witness choice are exercised.
+    fn tied_block_observers(blocks: u32) -> Vec<LintObserver> {
+        (0..blocks)
+            .map(|b| {
+                let mut obs = LintObserver::new(b);
+                let site = 4 * b as u64;
+                let (mut issued, mut active) = (0, 0);
+                // Phase 1: every block's worst load slot touches 16
+                // sectors, at its own word of `probe`.
+                for k in 0..(1 + b as u64 % 3) {
+                    obs.global_load(4 + k, 4 * 63);
+                    obs.global_load(16, site);
+                }
+                issued += 8;
+                active += 64;
+                obs.end_phase(issued, active);
+                // Phase 2: tied atomic depth and bank ways; only even
+                // blocks store.
+                obs.global_atomic(9, site);
+                obs.shared_access(8, b as u64);
+                obs.shared_atomic(12, 60 - b as u64);
+                if b % 2 == 0 {
+                    obs.global_store(32, site);
+                }
+                issued += 300;
+                active += 600;
+                obs.end_phase(issued, active);
+                // Phase 3 exists only in the later blocks.
+                if b >= blocks / 2 {
+                    for _ in 0..20 {
+                        obs.global_load(32, site);
+                    }
+                    obs.end_phase(issued + 20, active + 640);
+                }
+                obs
+            })
+            .collect()
+    }
+
+    fn fold_in(order: &[usize], observers: &[LintObserver]) -> LintObserver {
+        let mut acc = LintObserver::default();
+        for &i in order {
+            acc.fold(&observers[i]);
+        }
+        acc
+    }
+
+    #[test]
+    fn fold_order_does_not_change_the_report() {
+        let mem = mem_with(64);
+        let cfg = LintConfig::default();
+        let observers = tied_block_observers(12);
+        let n = observers.len();
+        let forward: Vec<usize> = (0..n).collect();
+        let reverse: Vec<usize> = (0..n).rev().collect();
+        // A fixed permutation (5 is coprime to 12).
+        let shuffled: Vec<usize> = (0..n).map(|i| (i * 5 + 7) % n).collect();
+        let expected = build_report(&fold_in(&forward, &observers), &mem, &cfg);
+        assert!(!expected.is_clean());
+        for order in [&reverse, &shuffled] {
+            let acc = fold_in(order, &observers);
+            assert_eq!(build_report(&acc, &mem, &cfg), expected);
+            assert_eq!(acc.checks, fold_in(&forward, &observers).checks);
+        }
+        // Folding partial accumulators is the same fold again.
+        let mut left = fold_in(&shuffled[..5], &observers);
+        left.fold(&fold_in(&shuffled[5..], &observers));
+        assert_eq!(build_report(&left, &mem, &cfg), expected);
+        // Every tied witness is the lowest contributing block's site:
+        // block 0's in phases 1–2, block 6's in phase 3.
+        let found: Vec<(LintRule, &str)> = expected
+            .diags
+            .iter()
+            .map(|d| (d.rule, d.pc_hint.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (LintRule::UncoalescedGlobal, "phase 1, `probe`[0]"),
+                (LintRule::UncoalescedGlobal, "phase 3, `probe`[6]"),
+                (LintRule::BankConflict, "phase 2, shared[0]"),
+                (LintRule::AtomicContention, "phase 2, `probe`[0]"),
+                (LintRule::AtomicContention, "phase 2, shared[60]"),
+                (LintRule::LowOccupancy, "phase 2"),
+            ]
+        );
+    }
+
     #[test]
     fn unresolvable_addresses_fall_back_to_raw_hex() {
         let dev = crate::Device::v100();
         let mem = DeviceMem::new(&dev);
-        let mut obs = LintObserver::new();
+        let mut obs = LintObserver::new(0);
         for _ in 0..16 {
             obs.global_load(32, 0xdead_0000);
         }

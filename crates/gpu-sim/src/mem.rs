@@ -67,6 +67,36 @@ impl Buffer {
         self.base + (idx as u64) * 4
     }
 
+    /// Debug name of the buffer (read by diagnostics only).
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// SimSan probe: where word `idx` sits in the shadow lattice.
+    #[inline]
+    pub(crate) fn shadow_state(&self, idx: usize) -> ShadowState {
+        if self.freed {
+            return ShadowState::Freed;
+        }
+        if idx < self.data.len() {
+            return match &self.shadow {
+                None => ShadowState::Init,
+                Some(shadow) => {
+                    if shadow[idx].load(Ordering::Relaxed) {
+                        ShadowState::Init
+                    } else {
+                        ShadowState::Uninit
+                    }
+                }
+            };
+        }
+        if (idx as u64) < self.padded_words {
+            ShadowState::Redzone
+        } else {
+            ShadowState::OutOfBounds
+        }
+    }
+
     #[inline]
     fn try_word(&self, idx: usize) -> Result<&AtomicU32, SimError> {
         match self.data.get(idx) {
@@ -365,29 +395,9 @@ impl DeviceMem {
     }
 
     /// SimSan probe: where `idx` of `id` sits in the shadow lattice.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn shadow_state(&self, id: BufId, idx: usize) -> ShadowState {
-        let buf = &self.buffers[id.0];
-        if buf.freed {
-            return ShadowState::Freed;
-        }
-        if idx < buf.data.len() {
-            return match &buf.shadow {
-                None => ShadowState::Init,
-                Some(shadow) => {
-                    if shadow[idx].load(Ordering::Relaxed) {
-                        ShadowState::Init
-                    } else {
-                        ShadowState::Uninit
-                    }
-                }
-            };
-        }
-        if (idx as u64) < buf.padded_words {
-            ShadowState::Redzone
-        } else {
-            ShadowState::OutOfBounds
-        }
+        self.buffers[id.0].shadow_state(idx)
     }
 
     /// Number of words in a buffer.
@@ -419,7 +429,7 @@ impl DeviceMem {
         &self.buffers[id.0].name
     }
 
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn addr_of(&self, id: BufId, idx: usize) -> u64 {
         self.buffers[id.0].addr_of(idx)
     }
@@ -465,11 +475,6 @@ impl DeviceMem {
                 buf.data.len()
             ),
         }
-    }
-
-    #[inline]
-    pub(crate) fn try_load(&self, id: BufId, idx: usize) -> Result<u32, SimError> {
-        self.buffers[id.0].try_load(idx)
     }
 
     // Handle-keyed convenience wrappers for the buffer accessors above;

@@ -41,7 +41,6 @@
 //! A detected race poisons the block like a memory fault and surfaces as
 //! [`SimError::DataRace`].
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::lint::SourceLoc;
@@ -102,8 +101,8 @@ pub(crate) enum Access {
 const NO_LANE: u32 = u32::MAX;
 
 /// Per-word access record for the current phase. `epoch` stamps which
-/// phase the record belongs to, so per-phase reset is O(1) instead of
-/// O(shared words).
+/// phase the record belongs to: a record from an earlier epoch reads as
+/// empty, so per-phase reset is O(1) instead of O(words touched).
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
     epoch: u64,
@@ -119,16 +118,16 @@ struct SlotState {
 }
 
 impl SlotState {
-    const FRESH: SlotState = SlotState {
-        epoch: 0,
-        readers: [NO_LANE; 2],
-        writer: NO_LANE,
-        atomic: NO_LANE,
-    };
+    /// A record no epoch claims (epochs start at 1).
+    const FRESH: SlotState = SlotState::fresh(0);
 
-    fn reset(&mut self, epoch: u64) {
-        *self = SlotState::FRESH;
-        self.epoch = epoch;
+    const fn fresh(epoch: u64) -> SlotState {
+        SlotState {
+            epoch,
+            readers: [NO_LANE; 2],
+            writer: NO_LANE,
+            atomic: NO_LANE,
+        }
     }
 
     /// Record `access` by `lane` and return the conflicting lane plus
@@ -181,49 +180,170 @@ impl SlotState {
     }
 }
 
-/// The per-block race detector: shared-word and global-word access
-/// tables for the current barrier phase, plus running statistics.
+/// One entry of [`GlobalTable`]: a flat byte address and its record.
+#[derive(Debug, Clone, Copy)]
+struct GlobalSlot {
+    addr: u64,
+    state: SlotState,
+}
+
+/// Open-addressing table over the global byte addresses a block touched
+/// with plain accesses this phase: a multiplicative (Fibonacci) hash,
+/// linear probing, and the records' epoch stamps as occupancy — a slot
+/// stamped with an older epoch is empty. Nothing is ever deleted within
+/// an epoch, so every probe chain stays intact, and closing a phase is
+/// one epoch bump instead of a table clear. Growing re-inserts only the
+/// current epoch's entries. The keys are byte addresses in the
+/// simulated device's bounded address space, and colliding keys can
+/// only slow a checked run, never change its verdict, so an unkeyed
+/// hash is enough.
+#[derive(Debug, Default)]
+struct GlobalTable {
+    /// Power-of-two length (or empty before the first insert).
+    slots: Vec<GlobalSlot>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    /// Entries stamped with the current epoch.
+    live: usize,
+}
+
+impl GlobalTable {
+    const MIN_SLOTS: usize = 64;
+
+    #[inline]
+    fn home(&self, addr: u64) -> usize {
+        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Forget every entry: they all belong to finished epochs.
+    #[inline]
+    fn new_epoch(&mut self) {
+        self.live = 0;
+    }
+
+    /// The record for `addr` in `epoch`, claimed fresh if absent.
+    #[inline]
+    fn entry(&mut self, addr: u64, epoch: u64) -> &mut SlotState {
+        // Keep the load factor at or below 1/2 so probe runs stay short.
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow(epoch);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(addr);
+        loop {
+            let slot = &self.slots[i];
+            if slot.state.epoch != epoch {
+                self.live += 1;
+                self.slots[i] = GlobalSlot {
+                    addr,
+                    state: SlotState::fresh(epoch),
+                };
+                break;
+            }
+            if slot.addr == addr {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        &mut self.slots[i].state
+    }
+
+    #[cold]
+    fn grow(&mut self, epoch: u64) {
+        let len = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![
+                GlobalSlot {
+                    addr: 0,
+                    state: SlotState::FRESH,
+                };
+                len
+            ],
+        );
+        self.shift = u64::BITS - len.trailing_zeros();
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|s| s.state.epoch == epoch) {
+            let mut i = self.home(slot.addr);
+            while self.slots[i].state.epoch == epoch {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+}
+
+/// The race detector: shared-word and global-word access tables for the
+/// current barrier phase, plus running statistics. One tracker lives in
+/// each worker's block arena and is [`reset`](RaceTracker::reset) per
+/// block, so the tables keep their allocations across blocks.
 #[derive(Debug)]
 pub(crate) struct RaceTracker {
-    /// Current phase number (1-based; 0 marks untouched slots).
+    /// Stamp of the current phase, monotone across every block this
+    /// tracker has served (so a block reset is an epoch bump too).
+    epoch: u64,
+    /// The current block's phase number (1-based), for diagnostics.
     phase: u64,
     /// Dense table over the block's shared words, epoch-stamped.
     shared: Vec<SlotState>,
     /// Sparse table over the global byte addresses the block touched
     /// with plain accesses this phase.
-    global: HashMap<u64, SlotState>,
+    global: GlobalTable,
     /// Conflict checks performed (one per tracked access).
     pub checks: u64,
     /// Races found (the block poisons on the first, so 0 or 1).
     pub races: u64,
 }
 
-impl RaceTracker {
-    pub fn new(shared_words: usize) -> Self {
+impl Default for RaceTracker {
+    fn default() -> Self {
         RaceTracker {
+            epoch: 1,
             phase: 1,
-            shared: vec![SlotState::FRESH; shared_words],
-            global: HashMap::new(),
+            shared: Vec::new(),
+            global: GlobalTable::default(),
             checks: 0,
             races: 0,
         }
+    }
+}
+
+impl RaceTracker {
+    #[cfg(test)]
+    pub fn new(shared_words: usize) -> Self {
+        let mut t = RaceTracker::default();
+        t.reset(shared_words);
+        t
+    }
+
+    /// Start a new block with `shared_words` words of shared memory: no
+    /// record of an earlier block survives, and phases count from 1.
+    pub fn reset(&mut self, shared_words: usize) {
+        self.epoch += 1;
+        self.phase = 1;
+        // Kept entries carry older epochs, so they read as empty.
+        self.shared.resize(shared_words, SlotState::FRESH);
+        self.global.new_epoch();
+        self.checks = 0;
+        self.races = 0;
     }
 
     /// Advance past a barrier: all access records of the finished phase
     /// become irrelevant.
     pub fn end_phase(&mut self) {
+        self.epoch += 1;
         self.phase += 1;
-        self.global.clear();
+        self.global.new_epoch();
     }
 
     /// Check one shared-memory access. Returns the error to poison the
     /// block with on conflict.
     pub fn check_shared(&mut self, lane: u32, idx: usize, access: Access) -> Option<SimError> {
         self.checks += 1;
-        let phase = self.phase;
+        let epoch = self.epoch;
         let slot = &mut self.shared[idx];
-        if slot.epoch != phase {
-            slot.reset(phase);
+        if slot.epoch != epoch {
+            *slot = SlotState::fresh(epoch);
         }
         let (other, read_write) = slot.check(lane, access)?;
         self.races += 1;
@@ -236,7 +356,11 @@ impl RaceTracker {
             addr: idx as u64,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Shared { phase, idx }.to_string(),
+            pc_hint: SourceLoc::Shared {
+                phase: self.phase,
+                idx,
+            }
+            .to_string(),
         })
     }
 
@@ -251,12 +375,7 @@ impl RaceTracker {
         access: Access,
     ) -> Option<SimError> {
         self.checks += 1;
-        let phase = self.phase;
-        let slot = self.global.entry(addr).or_insert(SlotState::FRESH);
-        if slot.epoch != phase {
-            slot.reset(phase);
-        }
-        let (other, read_write) = slot.check(lane, access)?;
+        let (other, read_write) = self.global.entry(addr, self.epoch).check(lane, access)?;
         self.races += 1;
         let kind = if read_write {
             RaceKind::GlobalReadWrite
@@ -267,7 +386,12 @@ impl RaceTracker {
             addr,
             kind,
             lanes: (other, lane),
-            pc_hint: SourceLoc::Global { phase, buffer, idx }.to_string(),
+            pc_hint: SourceLoc::Global {
+                phase: self.phase,
+                buffer,
+                idx,
+            }
+            .to_string(),
         })
     }
 }
@@ -385,6 +509,76 @@ mod tests {
         // new read, proving the fresh phase tracks its own accesses.
         assert!(t.check_shared(2, 2, W).is_some());
         assert_eq!(t.races, 1);
+    }
+
+    #[test]
+    fn global_barrier_clears_conflicts() {
+        let mut t = RaceTracker::new(0);
+        assert!(t.check_global(0, 512, "buf", 0, W).is_none());
+        t.end_phase();
+        assert!(t.check_global(1, 512, "buf", 0, Access::Read).is_none());
+        assert!(matches!(
+            t.check_global(2, 512, "buf", 0, W),
+            Some(SimError::DataRace {
+                kind: RaceKind::GlobalReadWrite,
+                lanes: (1, 2),
+                ..
+            })
+        ));
+        assert_eq!(t.races, 1);
+    }
+
+    #[test]
+    fn grown_global_table_still_catches_the_first_address() {
+        let mut t = RaceTracker::new(0);
+        let words = 1500u64;
+        for i in 0..words {
+            assert!(t
+                .check_global(0, 4096 + 4 * i, "buf", i as usize, W)
+                .is_none());
+        }
+        assert!(
+            t.global.slots.len() > GlobalTable::MIN_SLOTS,
+            "the table must have grown past its first allocation"
+        );
+        assert_eq!(t.global.live, words as usize);
+        // The very first record survived every re-insertion.
+        let err = t.check_global(1, 4096, "buf", 0, Access::Read).unwrap();
+        assert!(matches!(
+            err,
+            SimError::DataRace {
+                addr: 4096,
+                kind: RaceKind::GlobalReadWrite,
+                lanes: (0, 1),
+                ..
+            }
+        ));
+        // And so did the last one.
+        let last = 4096 + 4 * (words - 1);
+        assert!(t.check_global(2, last, "buf", 0, W).is_some());
+    }
+
+    #[test]
+    fn reused_tracker_forgets_the_previous_block() {
+        let mut t = RaceTracker::new(4);
+        assert!(t.check_shared(0, 2, W).is_none());
+        assert!(t.check_global(0, 4096, "buf", 0, W).is_none());
+        t.end_phase();
+        assert!(t.check_global(0, 8192, "buf", 1, W).is_none());
+        t.reset(4);
+        assert_eq!((t.checks, t.races), (0, 0));
+        // Another lane of the next block touches the same words freely.
+        assert!(t.check_shared(1, 2, Access::Read).is_none());
+        assert!(t.check_global(1, 4096, "buf", 0, Access::Read).is_none());
+        assert!(t.check_global(1, 8192, "buf", 1, Access::Read).is_none());
+        assert_eq!(t.races, 0);
+        // Diagnostics number the new block's phases from 1 again.
+        match t.check_global(2, 4096, "buf", 0, W) {
+            Some(SimError::DataRace { pc_hint, .. }) => {
+                assert_eq!(pc_hint, "phase 1, `buf`[0]");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

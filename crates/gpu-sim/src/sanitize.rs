@@ -98,8 +98,8 @@ impl ShadowAccess {
     }
 }
 
-/// Where a global word sits in the shadow lattice, as probed by
-/// [`DeviceMem::shadow_state`](crate::DeviceMem).
+/// Where a global word sits in the shadow lattice, as probed from the
+/// word's buffer in [`DeviceMem`](crate::DeviceMem).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShadowState {
     /// The word holds a host- or kernel-defined value.
@@ -116,8 +116,10 @@ pub(crate) enum ShadowState {
 }
 
 /// Per-block sanitizer state: the shared-memory shadow (global shadow
-/// lives with the buffers in `DeviceMem`) plus running statistics.
-#[derive(Debug)]
+/// lives with the buffers in `DeviceMem`) plus running statistics. One
+/// tracker lives in each worker's block arena and is
+/// [`reset`](SanTracker::reset) per block.
+#[derive(Debug, Default)]
 pub(crate) struct SanTracker {
     /// Current barrier-phase number (1-based), for diagnostics only.
     phase: u64,
@@ -131,13 +133,21 @@ pub(crate) struct SanTracker {
 }
 
 impl SanTracker {
+    #[cfg(test)]
     pub fn new(shared_words: usize) -> Self {
-        SanTracker {
-            phase: 1,
-            shared_init: vec![false; shared_words],
-            checks: 0,
-            reports: 0,
-        }
+        let mut t = SanTracker::default();
+        t.reset(shared_words);
+        t
+    }
+
+    /// Start a new block: its shared memory is born `Uninit` again and
+    /// phases count from 1.
+    pub fn reset(&mut self, shared_words: usize) {
+        self.phase = 1;
+        self.shared_init.clear();
+        self.shared_init.resize(shared_words, false);
+        self.checks = 0;
+        self.reports = 0;
     }
 
     /// Advance past a barrier (shared-init state persists: initialization
@@ -264,6 +274,22 @@ mod tests {
         assert!(t.check_shared(0, 0, ShadowAccess::Write).is_none());
         t.end_phase();
         assert!(t.check_shared(1, 0, ShadowAccess::Read).is_none());
+    }
+
+    #[test]
+    fn reset_makes_shared_memory_uninit_again() {
+        let mut t = SanTracker::new(2);
+        assert!(t.check_shared(0, 0, ShadowAccess::Write).is_none());
+        t.end_phase();
+        t.reset(2);
+        assert_eq!((t.checks, t.reports), (0, 0));
+        match t.check_shared(1, 0, ShadowAccess::Read) {
+            Some(SimError::Sanitizer { kind, pc_hint, .. }) => {
+                assert_eq!(kind, SanitizerKind::UninitRead);
+                assert_eq!(pc_hint, "phase 1, shared[0]");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

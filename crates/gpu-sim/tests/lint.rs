@@ -367,3 +367,46 @@ fn perf_lints_are_advisory_and_stable_across_accumulation() {
     a += b;
     assert_eq!(a.lint.unwrap(), report_before);
 }
+
+#[test]
+fn tied_witnesses_across_blocks_resolve_to_block_zero_every_run() {
+    // Every block hammers its own counter word equally hard, so the
+    // worst atomic depth ties across all 64 blocks. Each block folds
+    // into the launch's report as it finishes, and block 0 finishes
+    // last: it then runs a long, lint-clean phase of coalesced loads
+    // while the other workers fold the rest. The witness must still be
+    // block 0's word in every run.
+    const BLOCKS: u32 = 64;
+    let (dev, mem, buf) = device_and_buffer(BLOCKS as usize);
+    let cfg = KernelConfig::new(BLOCKS, 32);
+    let mut first = None;
+    for _ in 0..20 {
+        let stats = dev
+            .launch(&mem, cfg, |blk| {
+                let word = blk.block_idx() as usize;
+                blk.phase(move |lane| {
+                    lane.atomic_add_global(buf, word, 1);
+                });
+                if word == 0 {
+                    blk.phase(|lane| {
+                        for _ in 0..2_000 {
+                            lane.ld_global(buf, lane.tid() as usize);
+                        }
+                    });
+                }
+            })
+            .unwrap();
+        let report = stats.lint.expect("report attached");
+        let diag = report
+            .diags
+            .iter()
+            .find(|d| d.rule == LintRule::AtomicContention)
+            .expect("32-deep atomics are flagged");
+        assert_eq!(diag.pc_hint, "phase 1, `scratch`[0]");
+        assert!(diag.detail.contains("(64 requests)"), "{}", diag.detail);
+        match &first {
+            None => first = Some(report),
+            Some(r) => assert_eq!(&report, r, "reports differ between runs"),
+        }
+    }
+}

@@ -5,23 +5,35 @@ use proptest::prelude::*;
 
 use gpu_sim::{Device, DeviceMem, KernelConfig, LaunchStats};
 
+/// Words of `data` each block owns.
+const REGION_WORDS: usize = 1 << 14;
+
 /// A tiny random "program": per lane, a mix of ops driven by the lane id
 /// and two parameters.
+///
+/// Every load and store stays inside the block's own region of `data`:
+/// the lanes of a block run in a fixed order, so the values they load —
+/// and the data-dependent compute those values drive — are the same in
+/// every run. A store into another block's region would make a block's
+/// cycles depend on the order the host workers happened to run blocks in.
 fn run_program(block_dim: u32, grid_dim: u32, stride: usize, work: u32) -> LaunchStats {
     let dev = Device::v100();
     let mut mem = DeviceMem::new(&dev);
-    let data = mem.alloc_zeroed(1 << 16, "data").unwrap();
+    let data = mem
+        .alloc_zeroed(REGION_WORDS * grid_dim as usize, "data")
+        .unwrap();
     let counter = mem.alloc_zeroed(16, "counter").unwrap();
     let cfg = KernelConfig::new(grid_dim, block_dim).with_shared_words(64);
     dev.launch(&mem, cfg, |blk| {
+        let region = blk.block_idx() as usize * REGION_WORDS;
         blk.phase(|lane| {
             let t = lane.global_tid() as usize;
             for i in 0..(work as usize) {
-                let idx = (t * stride + i * 97) % (1 << 16);
-                let v = lane.ld_global(data, idx);
+                let off = (t * stride + i * 97) % REGION_WORDS;
+                let v = lane.ld_global(data, region + off);
                 lane.compute(1 + (v % 3));
                 if i % 7 == 0 {
-                    lane.st_global(data, (idx + 1) % (1 << 16), v + 1);
+                    lane.st_global(data, region + (off + 1) % REGION_WORDS, v + 1);
                 }
                 if i % 11 == 0 {
                     lane.atomic_add_global(counter, t % 16, 1);
