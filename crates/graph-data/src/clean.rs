@@ -4,7 +4,7 @@
 //! important to note that these transformations do not alter the number
 //! of triangles within the graph."*
 
-use crate::types::{Csr, EdgeList, UndirGraph, VertexId};
+use crate::types::{Csr, EdgeList, UndirGraph};
 
 /// What cleaning removed — reported by the framework's dataset pipeline.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -28,26 +28,30 @@ pub fn clean_edges(raw: &EdgeList) -> (UndirGraph, CleanReport) {
         ..Default::default()
     };
 
-    // Normalize to (min, max) pairs, dropping self-loops.
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(raw.len());
+    // Normalize each edge to a `min << 32 | max` key, dropping
+    // self-loops: sorting the keys as integers sorts the `(min, max)`
+    // pairs lexicographically.
+    let mut keys: Vec<u64> = Vec::with_capacity(raw.len());
     for &(u, v) in &raw.edges {
         if u == v {
             report.removed_self_loops += 1;
         } else {
-            pairs.push((u.min(v), u.max(v)));
+            keys.push(u64::from(u.min(v)) << 32 | u64::from(u.max(v)));
         }
     }
-    pairs.sort_unstable();
-    let before = pairs.len();
-    pairs.dedup();
-    report.removed_duplicates = (before - pairs.len()) as u64;
+    keys.sort_unstable();
+    let before = keys.len();
+    keys.dedup();
+    report.removed_duplicates = (before - keys.len()) as u64;
+    let pair = |k: u64| ((k >> 32) as usize, k as u32 as usize);
 
     // Compact vertex IDs: keep only endpoints of surviving edges.
     let id_space = raw.id_space() as usize;
     let mut used = vec![false; id_space];
-    for &(u, v) in &pairs {
-        used[u as usize] = true;
-        used[v as usize] = true;
+    for &k in &keys {
+        let (u, v) = pair(k);
+        used[u] = true;
+        used[v] = true;
     }
     let mut remap = vec![u32::MAX; id_space];
     let mut next = 0u32;
@@ -59,14 +63,15 @@ pub fn clean_edges(raw: &EdgeList) -> (UndirGraph, CleanReport) {
     }
     report.removed_isolated_vertices = (id_space as u64).saturating_sub(next as u64);
     report.final_vertices = next;
-    report.final_edges = pairs.len() as u64;
+    report.final_edges = keys.len() as u64;
 
     // Build symmetric adjacency.
     let n = next as usize;
     let mut deg = vec![0u32; n];
-    for &(u, v) in &pairs {
-        deg[remap[u as usize] as usize] += 1;
-        deg[remap[v as usize] as usize] += 1;
+    for &k in &keys {
+        let (u, v) = pair(k);
+        deg[remap[u] as usize] += 1;
+        deg[remap[v] as usize] += 1;
     }
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u32);
@@ -77,18 +82,25 @@ pub fn clean_edges(raw: &EdgeList) -> (UndirGraph, CleanReport) {
     }
     let mut cursor = offsets.clone();
     let mut targets = vec![0u32; acc as usize];
-    for &(u, v) in &pairs {
-        let (nu, nv) = (remap[u as usize], remap[v as usize]);
+    for &k in &keys {
+        let (u, v) = pair(k);
+        let (nu, nv) = (remap[u], remap[v]);
         targets[cursor[nu as usize] as usize] = nv;
         cursor[nu as usize] += 1;
         targets[cursor[nv as usize] as usize] = nu;
         cursor[nv as usize] += 1;
     }
-    // Sort each neighbour list (pairs were sorted by (u,v), so the `nu`
-    // side is already ordered, but the `nv` side is not).
-    for v in 0..n {
-        targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-    }
+    // Every list comes out strictly ascending without a sort: the pairs
+    // are sorted and deduplicated with `u < v`, so vertex `x` first
+    // receives its lower neighbours (from pairs `(u, x)`, ascending in
+    // `u`), then its higher ones (from pairs `(x, v)`, ascending in `v`),
+    // and the remap is monotone.
+    debug_assert!(
+        (0..n).all(|v| targets[offsets[v] as usize..offsets[v + 1] as usize]
+            .windows(2)
+            .all(|w| w[0] < w[1])),
+        "cleaned neighbour lists must be strictly ascending"
+    );
 
     let g = UndirGraph::from_csr(Csr::from_parts(offsets, targets));
     (g, report)
@@ -97,6 +109,7 @@ pub fn clean_edges(raw: &EdgeList) -> (UndirGraph, CleanReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::VertexId;
 
     #[test]
     fn removes_self_loops_and_duplicates() {
@@ -147,5 +160,38 @@ mod tests {
         let n = g.neighbors(star_center);
         assert!(n.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(n.len(), 5);
+
+        // Many edges in random order, each given in both directions and
+        // some repeated, with gaps in the ID space: every list must still
+        // come out strictly ascending, equal to a sort-and-dedup oracle.
+        let mut edges = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..4000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (u, v) = ((state % 97) as u32 * 3, ((state >> 32) % 97) as u32 * 3);
+            edges.push((u, v));
+            edges.push((v, u));
+            if state.is_multiple_of(3) {
+                edges.push((v, u));
+            }
+        }
+        let (g, r) = clean_edges(&EdgeList::new(edges.clone()));
+        let mut expected: Vec<Vec<VertexId>> = vec![Vec::new(); 97];
+        for &(u, v) in &edges {
+            if u != v {
+                expected[u as usize / 3].push(v / 3);
+            }
+        }
+        for list in &mut expected {
+            list.sort_unstable();
+            list.dedup();
+        }
+        assert_eq!(r.removed_isolated_vertices, 3 * 96 + 1 - 97);
+        assert_eq!(g.num_vertices(), 97);
+        for v in 0..g.num_vertices() {
+            assert_eq!(g.neighbors(v), expected[v as usize], "vertex {v}");
+        }
     }
 }

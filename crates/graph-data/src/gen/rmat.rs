@@ -10,35 +10,35 @@ use crate::types::EdgeList;
 
 /// Generate `num_edges` raw directed pairs over `2^scale` vertices.
 ///
-/// `a + b + c + d` must sum to 1 (within 1e-6). Duplicate edges and
-/// self-loops are left in, as in real RMAT dumps; run
-/// [`crate::clean::clean_edges`] afterwards.
+/// `a + b + c + d` must sum to 1 (within 1e-6) and each weight must be
+/// non-negative. Duplicate edges and self-loops are left in, as in real
+/// RMAT dumps; run [`crate::clean::clean_edges`] afterwards.
 pub fn rmat(scale: u32, num_edges: usize, a: f64, b: f64, c: f64, d: f64, seed: u64) -> EdgeList {
     assert!(scale > 0 && scale < 31, "scale out of range");
     assert!(
         ((a + b + c + d) - 1.0).abs() < 1e-6,
         "RMAT probabilities must sum to 1"
     );
+    assert!(
+        a >= 0.0 && b >= 0.0 && c >= 0.0 && d >= 0.0,
+        "RMAT probabilities must be non-negative"
+    );
+    // Cumulative quadrant bounds: top-left [0, a), top-right [a, ab),
+    // bottom-left [ab, abc), bottom-right [abc, 1). With non-negative
+    // weights `a <= ab <= abc`, so three independent comparisons pick the
+    // quadrant without a data-dependent branch: the row bit is set in the
+    // bottom half, the column bit in the two right-hand quadrants.
+    let ab = a + b;
+    let abc = ab + c;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(num_edges);
     for _ in 0..num_edges {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
-            // Slightly perturb quadrant probabilities per level (the
-            // "noise" variant) to avoid exactly self-similar artifacts.
             let r: f64 = rng.gen();
-            if r < a {
-                // top-left: no bits set
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let (ge_a, ge_ab, ge_abc) = (r >= a, r >= ab, r >= abc);
+            u = (u << 1) | u32::from(ge_ab);
+            v = (v << 1) | u32::from((ge_a & !ge_ab) | ge_abc);
         }
         edges.push((u, v));
     }
@@ -79,5 +79,13 @@ mod tests {
     #[should_panic(expected = "sum to 1")]
     fn rejects_bad_probabilities() {
         rmat(8, 10, 0.5, 0.5, 0.5, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rejects_negative_probability() {
+        // Sums to 1, but a negative weight has no meaning as a quadrant
+        // probability.
+        rmat(8, 10, 0.6, -0.1, 0.3, 0.2, 0);
     }
 }

@@ -115,76 +115,123 @@ pub fn orient(g: &UndirGraph, orientation: Orientation) -> DagGraph {
 /// one rule that needs the whole graph resident (degeneracy peeling
 /// mutates degrees globally), so it materializes a temporary copy.
 pub fn orient_access<A: CsrAccess + ?Sized>(g: &A, orientation: Orientation) -> DagGraph {
-    let n = g.num_vertices() as usize;
-    // rank[old] = new id.
+    // order[new id] = old id.
     let order: Vec<VertexId> = match orientation {
-        Orientation::ById => (0..n as u32).collect(),
-        Orientation::DegreeAsc => {
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
-            order.sort_by_key(|&v| (g.degree(v), v));
-            order
-        }
-        Orientation::DegreeDesc => {
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
-            order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-            order
-        }
+        Orientation::ById => (0..g.num_vertices()).collect(),
+        Orientation::DegreeAsc => degree_order(g, false),
+        Orientation::DegreeDesc => degree_order(g, true),
         Orientation::KCore => {
             let und = UndirGraph::from_csr(materialize_csr(g));
             crate::kcore::core_decomposition(&und).order
         }
-        Orientation::Random(seed) => {
-            // Fisher–Yates with a splitmix-style generator (no rand
-            // dependency needed for a baseline shuffle).
-            let mut order: Vec<VertexId> = (0..n as u32).collect();
-            let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-            let mut next = || {
-                state = state.wrapping_add(0x9E3779B97F4A7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                z ^ (z >> 31)
-            };
-            for i in (1..n).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            order
-        }
+        Orientation::Random(seed) => random_order(g.num_vertices(), seed),
     };
     orient_with_order(g, order, orientation)
 }
 
+/// Fisher–Yates shuffle of `0..n` with a splitmix-style generator (no
+/// rand dependency needed for a baseline shuffle).
+fn random_order(n: u32, seed: u64) -> Vec<VertexId> {
+    let mut order: Vec<VertexId> = (0..n).collect();
+    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
+    let mut next = || {
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    };
+    for i in (1..n as usize).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        order.swap(i, j);
+    }
+    order
+}
+
+/// Vertices sorted by degree (ascending, or descending when
+/// `descending`), ties by ascending ID: a stable counting sort over the
+/// degree histogram, which yields exactly the `(degree, id)` comparison
+/// order because vertices are placed into their buckets in ID order.
+fn degree_order<A: CsrAccess + ?Sized>(g: &A, descending: bool) -> Vec<VertexId> {
+    let n = g.num_vertices();
+    let deg: Vec<u32> = (0..n).map(|v| g.degree(v)).collect();
+    let max = deg.iter().copied().max().unwrap_or(0);
+    // `bucket(d)` is d's rank in the requested degree order.
+    let bucket = |d: u32| (if descending { max - d } else { d }) as usize;
+    let mut start = vec![0u32; max as usize + 2];
+    for &d in &deg {
+        start[bucket(d) + 1] += 1;
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut order = vec![0; n as usize];
+    for (v, &d) in (0..n).zip(&deg) {
+        let slot = &mut start[bucket(d)];
+        order[*slot as usize] = v;
+        *slot += 1;
+    }
+    order
+}
+
+/// Relabel `g` by `order` (`order[new_id] = old_id`) and keep each edge
+/// pointing from the smaller to the larger new ID. Builds the CSR in
+/// place in two passes over the adjacency: count every vertex's
+/// out-degree, prefix-sum the counts into offsets, then scatter each
+/// edge into its source's slot and sort each slice.
 fn orient_with_order<A: CsrAccess + ?Sized>(
     g: &A,
     order: Vec<VertexId>,
     orientation: Orientation,
 ) -> DagGraph {
     let n = g.num_vertices() as usize;
-    let (rank, new_to_old) = {
-        let mut rank = vec![0u32; n];
-        for (new_id, &old) in order.iter().enumerate() {
-            rank[old as usize] = new_id as u32;
-        }
-        (rank, order)
-    };
+    let mut rank = vec![0u32; n];
+    for (new_id, &old) in order.iter().enumerate() {
+        rank[old as usize] = new_id as u32;
+    }
 
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    // Pass 1: out-degree of every new vertex.
+    let mut cursor = vec![0u32; n];
     for old_u in 0..n as u32 {
         let nu = rank[old_u as usize];
+        let mut out = 0u32;
+        g.for_each_neighbor(old_u, &mut |old_v| {
+            out += u32::from(nu < rank[old_v as usize])
+        });
+        cursor[nu as usize] = out;
+    }
+    // Prefix sum; `cursor` becomes each list's next free slot.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut total = 0u32;
+    for c in &mut cursor {
+        let start = total;
+        total = total
+            .checked_add(*c)
+            .expect("graph exceeds u32 edge-offset space");
+        offsets.push(total);
+        *c = start;
+    }
+
+    // Pass 2: scatter, then sort each list.
+    let mut targets = vec![0; total as usize];
+    for old_u in 0..n as u32 {
+        let nu = rank[old_u as usize];
+        let slot = &mut cursor[nu as usize];
         g.for_each_neighbor(old_u, &mut |old_v| {
             let nv = rank[old_v as usize];
             if nu < nv {
-                adj[nu as usize].push(nv);
+                targets[*slot as usize] = nv;
+                *slot += 1;
             }
         });
     }
-    for list in &mut adj {
-        list.sort_unstable();
+    for w in offsets.windows(2) {
+        targets[w[0] as usize..w[1] as usize].sort_unstable();
     }
     DagGraph {
-        csr: Csr::from_adjacency(&adj),
-        new_to_old,
+        csr: Csr::from_parts(offsets, targets),
+        new_to_old: order,
         orientation,
     }
 }
@@ -301,6 +348,140 @@ mod tests {
         for o in ALL {
             let d = orient(&g, o);
             assert_eq!(crate::cpu_ref::forward_merge(&d), expected, "{o:?}");
+        }
+    }
+
+    /// The builder this module used before the flat two-pass one: a
+    /// comparison sort for the degree orders, one `Vec` per vertex, each
+    /// sorted, then copied into a `Csr`. Kept as the oracle the flat
+    /// builder must match byte for byte.
+    fn oracle<A: CsrAccess + ?Sized>(g: &A, o: Orientation) -> (Csr, Vec<VertexId>) {
+        let n = g.num_vertices() as usize;
+        let mut order: Vec<VertexId> = (0..n as u32).collect();
+        match o {
+            Orientation::ById => {}
+            Orientation::DegreeAsc => order.sort_by_key(|&v| (g.degree(v), v)),
+            Orientation::DegreeDesc => order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v)),
+            Orientation::KCore => {
+                let und = UndirGraph::from_csr(materialize_csr(g));
+                order = crate::kcore::core_decomposition(&und).order;
+            }
+            Orientation::Random(seed) => order = random_order(n as u32, seed),
+        }
+        let mut rank = vec![0u32; n];
+        for (new_id, &old) in order.iter().enumerate() {
+            rank[old as usize] = new_id as u32;
+        }
+        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        for old_u in 0..n as u32 {
+            let nu = rank[old_u as usize];
+            g.for_each_neighbor(old_u, &mut |old_v| {
+                let nv = rank[old_v as usize];
+                if nu < nv {
+                    adj[nu as usize].push(nv);
+                }
+            });
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+        }
+        (Csr::from_adjacency(&adj), order)
+    }
+
+    fn assert_matches_oracle<A: CsrAccess + ?Sized>(g: &A, what: &str) {
+        for o in ALL {
+            let d = orient_access(g, o);
+            let (csr, order) = oracle(g, o);
+            assert_eq!(d.csr(), &csr, "{what} {o:?}: CSR differs");
+            assert_eq!(d.new_to_old, order, "{what} {o:?}: relabeling differs");
+            assert_eq!(d.orientation(), o);
+        }
+    }
+
+    /// Graphs with the shapes the builder must get right: seeded
+    /// generator output of each skew family, no vertices, vertices with
+    /// no edges, and one hub adjacent to everything.
+    fn oracle_fixtures() -> Vec<(&'static str, UndirGraph)> {
+        let isolated = {
+            // 0-3, 3-6, 0-6 triangle; 1, 2, 4, 5, 7 have no edges.
+            let adj: Vec<Vec<VertexId>> = (0..8u32)
+                .map(|v| match v {
+                    0 => vec![3, 6],
+                    3 => vec![0, 6],
+                    6 => vec![0, 3],
+                    _ => vec![],
+                })
+                .collect();
+            UndirGraph::from_csr(Csr::from_adjacency(&adj))
+        };
+        let star = {
+            let raw = EdgeList::new((1..300).map(|leaf| (leaf, 0)).collect());
+            clean_edges(&raw).0
+        };
+        vec![
+            ("er", clean_edges(&crate::gen::erdos_renyi(600, 4000, 3)).0),
+            (
+                "rmat",
+                clean_edges(&crate::gen::rmat(11, 12_000, 0.57, 0.19, 0.19, 0.05, 5)).0,
+            ),
+            (
+                "ba",
+                clean_edges(&crate::gen::barabasi_albert(700, 5, 0.6, 9)).0,
+            ),
+            (
+                "empty",
+                UndirGraph::from_csr(Csr::from_parts(vec![0], vec![])),
+            ),
+            ("isolated", isolated),
+            ("star", star),
+        ]
+    }
+
+    #[test]
+    fn flat_builder_matches_vec_of_vecs_oracle() {
+        for (what, g) in oracle_fixtures() {
+            assert_matches_oracle(g.csr(), what);
+            // `orient` (the resident entry point, KCore peeling in place)
+            // agrees with the generic path.
+            for o in ALL {
+                let (csr, order) = oracle(g.csr(), o);
+                let d = orient(&g, o);
+                assert_eq!((d.csr(), &d.new_to_old), (&csr, &order), "{what} {o:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_builder_matches_oracle_through_chunked_csr() {
+        use crate::chunked::{ChunkCacheConfig, ChunkedCsr};
+        let cfg = ChunkCacheConfig {
+            chunk_words: 16,
+            max_resident: 3,
+            pinned_chunks: 1,
+        };
+        for (what, g) in oracle_fixtures() {
+            let path = std::env::temp_dir().join(format!(
+                "tc-compare-orient-oracle-{}-{what}.csr",
+                std::process::id()
+            ));
+            let chunked = ChunkedCsr::spill_with(g.csr(), &path, cfg).unwrap();
+            assert_matches_oracle(&chunked, what);
+            // The builder's output does not depend on where the graph
+            // lives.
+            for o in ALL {
+                assert_eq!(
+                    orient_access(&chunked, o).csr(),
+                    orient(&g, o).csr(),
+                    "{what} {o:?}"
+                );
+            }
+            if g.csr().num_entries() > 64 {
+                assert!(
+                    chunked.cache_stats().evictions > 0,
+                    "{what}: a 3-chunk cache must page"
+                );
+            }
+            std::fs::remove_file(path).ok();
         }
     }
 

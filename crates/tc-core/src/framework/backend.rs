@@ -25,7 +25,9 @@ use tc_algos::api::TcAlgorithm;
 
 use rayon::prelude::*;
 
-use crate::framework::runner::{run_on_dataset, PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::runner::{
+    panic_message, run_on_dataset, PreparedDataset, RunOutcome, RunRecord,
+};
 
 /// An execution substrate for evaluation cells.
 pub trait Backend: Sync {
@@ -84,16 +86,10 @@ pub fn run_on_dataset_cpu(algo: &dyn TcAlgorithm, data: &PreparedDataset) -> Run
             counters: Default::default(),
             verified: triangles == data.ground_truth,
         },
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                s.to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "unknown panic payload".to_string()
-            };
-            RunOutcome::Failed(SimError::KernelFault(format!("cpu kernel panicked: {msg}")))
-        }
+        Err(payload) => RunOutcome::Failed(SimError::KernelFault(format!(
+            "cpu kernel panicked: {}",
+            panic_message(payload.as_ref())
+        ))),
     };
     RunRecord {
         algorithm: algo.name().to_string(),
@@ -258,6 +254,89 @@ mod tests {
             records[..records.len() - 1].iter().all(|r| r.is_verified()),
             "healthy cpu cells still verify"
         );
+    }
+
+    /// A device kernel whose closure panics in every block: the probe
+    /// for panic isolation on the simulator backends.
+    struct PanickySimAlgo;
+
+    impl TcAlgorithm for PanickySimAlgo {
+        fn meta(&self) -> AlgoMeta {
+            AlgoMeta {
+                name: "sim-panic-probe",
+                reference: "synthetic device fault probe",
+                year: 2024,
+                iterator: IteratorKind::Edge,
+                intersection: Intersection::Merge,
+                granularity: Granularity::Coarse,
+            }
+        }
+
+        fn count(
+            &self,
+            dev: &Device,
+            mem: &mut DeviceMem,
+            _g: &DeviceGraph,
+        ) -> Result<TcOutput, SimError> {
+            let stats = dev.launch(mem, gpu_sim::KernelConfig::new(8, 32), |blk| {
+                blk.phase(|_lane| panic!("deliberate device-kernel bug"));
+            })?;
+            Ok(TcOutput {
+                triangles: 0,
+                stats,
+            })
+        }
+
+        fn count_cpu(&self, dag: &graph_data::DagGraph) -> u64 {
+            graph_data::cpu_ref::forward_merge(dag)
+        }
+    }
+
+    #[test]
+    fn panicking_sim_kernel_is_isolated_as_failed() {
+        use crate::framework::partitioned::PartitionedSimBackend;
+        let dev = Device::v100();
+        let mut algos = all_algorithms();
+        algos.push(Box::new(PanickySimAlgo));
+        let single = SimBackend { dev: &dev };
+        let split = PartitionedSimBackend {
+            dev: &dev,
+            num_devices: 2,
+        };
+        let backends: [&dyn Backend; 2] = [&single, &split];
+        let mut second = tiny_spec();
+        second.name = "tiny-rmat-2";
+        second.seed = 8;
+        let specs = [tiny_spec(), second];
+        // The panics must not tear down the parallel sweep.
+        let records = run_matrix_backends_parallel(&backends, &algos, &specs);
+        assert_eq!(records.len(), specs.len() * backends.len() * algos.len());
+        for r in &records {
+            if r.algorithm == "sim-panic-probe" {
+                // A panic inside a parallel launch is re-raised by the
+                // worker scope with its own payload, so only the prefix
+                // is stable.
+                match &r.outcome {
+                    RunOutcome::Failed(SimError::KernelFault(msg)) => {
+                        assert!(msg.starts_with("sim kernel panicked"), "msg: {msg}")
+                    }
+                    other => panic!("expected Failed(KernelFault), got {other:?}"),
+                }
+            } else {
+                assert!(
+                    r.is_verified(),
+                    "{} on {}: {:?}",
+                    r.algorithm,
+                    r.dataset,
+                    r.outcome
+                );
+            }
+        }
+        let probes = records
+            .iter()
+            .filter(|r| r.algorithm == "sim-panic-probe")
+            .count();
+        assert_eq!(probes, specs.len() * backends.len());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use tc_algos::device_graph::DeviceGraph;
 use tc_algos::partition::PartitionPlan;
 
 use crate::framework::backend::Backend;
-use crate::framework::runner::{PreparedDataset, RunOutcome, RunRecord};
+use crate::framework::runner::{catch_sim_panic, PreparedDataset, RunOutcome, RunRecord};
 
 /// One simulated device's share of a partitioned run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +79,8 @@ impl PartitionStats {
 /// single-device runner path (full work ranges, no link charges) and
 /// the record carries `partition: None`, keeping 1-device output
 /// byte-identical to [`crate::framework::runner::run_on_dataset`].
+/// A device whose upload or count panics fails the whole cell with
+/// `KernelFault("sim kernel panicked: …")`, as the single-device path does.
 pub fn run_partitioned(
     dev: &Device,
     algo: &dyn TcAlgorithm,
@@ -99,10 +101,12 @@ pub fn run_partitioned(
     for d in 0..num_devices as usize {
         // Each device is a fresh memory image: nothing carries over.
         let mut mem = gpu_sim::DeviceMem::new(dev);
-        let outcome = DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
-            let (lo, hi) = plan.pivot_range(d);
-            dg.restrict_to_pivots(lo, hi);
-            algo.count(dev, &mut mem, &dg)
+        let outcome = catch_sim_panic(|| {
+            DeviceGraph::upload(&dag, &mut mem).and_then(|mut dg| {
+                let (lo, hi) = plan.pivot_range(d);
+                dg.restrict_to_pivots(lo, hi);
+                algo.count(dev, &mut mem, &dg)
+            })
         });
         let out = match outcome {
             Ok(out) => out,

@@ -10,8 +10,10 @@
 //! isolate faulting cells as [`RunOutcome::Failed`] instead of aborting
 //! the sweep.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, ProfileCounters, SimError};
@@ -147,37 +149,40 @@ impl RunRecord {
 /// Faults are isolated per cell: a kernel that accesses device memory
 /// out of bounds, overflows a fixed structure or exhausts device memory
 /// produces [`RunOutcome::Failed`] here and the caller's sweep continues.
+/// So does a panic during upload or count, as on the CPU backend: it is
+/// caught and recorded as `KernelFault("sim kernel panicked: …")`.
 pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDataset) -> RunRecord {
     let started = Instant::now();
     let ground_truth = data.ground_truth;
     let dataset = data.spec.name;
     let dag = data.dag(algo.preferred_orientation());
     let mut mem = gpu_sim::DeviceMem::new(dev);
-    let outcome =
-        match DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(dev, &mut mem, &dg)) {
-            Ok(out) => {
-                // Tightened invariant: a successful count on a graph with
-                // edges must have cost at least one modelled cycle; only the
-                // empty graph may report a zero-cycle kernel. An algorithm
-                // that "succeeds" without doing modelled work is a bug in
-                // its instrumentation, and recording it as failed keeps
-                // downstream `kernel_cycles > 0` assumptions honest.
-                if out.stats.kernel_cycles == 0 && dag.num_edges() > 0 {
-                    RunOutcome::Failed(SimError::KernelFault(format!(
-                        "{} reported zero kernel cycles on a non-empty graph",
-                        algo.name()
-                    )))
-                } else {
-                    RunOutcome::Ok {
-                        triangles: out.triangles,
-                        kernel_cycles: out.stats.kernel_cycles,
-                        counters: out.stats.counters,
-                        verified: out.triangles == ground_truth,
-                    }
+    let outcome = match catch_sim_panic(|| {
+        DeviceGraph::upload(&dag, &mut mem).and_then(|dg| algo.count(dev, &mut mem, &dg))
+    }) {
+        Ok(out) => {
+            // Tightened invariant: a successful count on a graph with
+            // edges must have cost at least one modelled cycle; only the
+            // empty graph may report a zero-cycle kernel. An algorithm
+            // that "succeeds" without doing modelled work is a bug in
+            // its instrumentation, and recording it as failed keeps
+            // downstream `kernel_cycles > 0` assumptions honest.
+            if out.stats.kernel_cycles == 0 && dag.num_edges() > 0 {
+                RunOutcome::Failed(SimError::KernelFault(format!(
+                    "{} reported zero kernel cycles on a non-empty graph",
+                    algo.name()
+                )))
+            } else {
+                RunOutcome::Ok {
+                    triangles: out.triangles,
+                    kernel_cycles: out.stats.kernel_cycles,
+                    counters: out.stats.counters,
+                    verified: out.triangles == ground_truth,
                 }
             }
-            Err(e) => RunOutcome::Failed(e),
-        };
+        }
+        Err(e) => RunOutcome::Failed(e),
+    };
     RunRecord {
         algorithm: algo.name().to_string(),
         dataset,
@@ -185,6 +190,31 @@ pub fn run_on_dataset(dev: &Device, algo: &dyn TcAlgorithm, data: &PreparedDatas
         outcome,
         partition: None,
         wall: started.elapsed(),
+    }
+}
+
+/// Run one simulated upload-and-count under [`catch_unwind`]: a panic
+/// (an indexing bug in a kernel closure, or the generic payload a
+/// parallel launch re-raises from its worker scope) becomes a
+/// [`SimError::KernelFault`] for this cell alone.
+pub(crate) fn catch_sim_panic<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(SimError::KernelFault(format!(
+            "sim kernel panicked: {}",
+            panic_message(payload.as_ref())
+        )))
+    })
+}
+
+/// The text of a caught panic payload: the `&str` or `String` that
+/// `panic!` carries, or a placeholder for any other payload type.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic payload".to_string()
     }
 }
 
